@@ -1,11 +1,12 @@
-"""Vectorized tracer used by trace_image.
+"""Vectorized tracer and the radiance/adjoint sweeps, used by trace_image.
 
-This kernel traces all (pixel, sample) lanes of an image chunk in lockstep
-with numpy and is draw-for-draw equivalent to the scalar engine in
-path_engine/make_path: every lane owns the same keyed counter stream, draws
-advance only on lanes that would draw in the scalar code, and all formulas
-mirror geometry.py / sampling.py / materials.py term for term.  Tests assert
-the equivalence against per-path scalar traces.
+``trace_lanes`` traces all (pixel, sample) lanes of an image chunk in
+lockstep with numpy into a ``PathRecord`` and is draw-for-draw equivalent
+to the scalar engine in path_engine/make_path: every lane owns the same
+keyed counter stream, and draws advance only on lanes that would draw in
+the scalar code.  ``forward``/``backward`` sweep a record with the
+per-vertex rules of materials.py; validation replays frozen scalar paths
+through them too.  Tests assert the equivalence with the scalar engine.
 
 Parallelism splits the pixel range into per-worker chunks merged in chunk
 order, so per-pixel outputs never depend on the worker count and reductions
@@ -15,38 +16,22 @@ are bit-stable for a fixed count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (FRAME_DEGENERATE_EPS, FRAME_HELPER,
                        FRAME_HELPER_FALLBACK, Sphere, T_MIN)
-from .materials import MaterialKind, N_CONTROLS, Q_LOBE
-from .sampling import SIN_CLAMP, _GOLDEN, _MASK64, _MIX1, _MIX2
+from .materials import (LobeTag, MaterialKind, N_CONTROLS, Q_LOBE,
+                        emission_partial, throughput, throughput_partials)
+from .sampling import _GOLDEN, _MASK64, _MIX1, _MIX2
 
 _U64 = np.uint64
 _GOLD_U = _U64(_GOLDEN)
 _MIX1_U = _U64(_MIX1)
 _MIX2_U = _U64(_MIX2)
 
-# lane status codes
-_IN_FLIGHT = 0
-_ESCAPED = 1
-_ABSORBED = 2
-_EMITTER = 3
-_MAX_DEPTH = 4
-_BELOW_HORIZON = 5
-
-# vertex tag codes
-_TAG_NONE = 0
-_TAG_LAMBERT = 1
-_TAG_DIFFUSE = 2
-_TAG_SPECULAR = 3
-
-_KIND_EMITTER = 0
-_KIND_PHONG = 1
-_KIND_LAMBERT = 2
+_BINDINGS = ("emission", "ambient", "diffuse", "specular", "exponent")
 
 
 def _mix64(z):
@@ -63,40 +48,67 @@ def _stream_keys(seed, pixel, sample):
 
 
 @dataclass
-class _SceneArrays:
-    """Scene flattened to plain arrays (picklable, resolved at fixed theta)."""
+class MaterialTable:
+    """Per-material arrays resolved at one theta, indexed by material id."""
 
-    prims: list          # ("quad", corner, eu, ev, n, nn, unit_n, mat) / ("sphere", c, r, mat)
-    kind: np.ndarray     # per material
+    materials: list
+    kind: np.ndarray           # MaterialKind codes
     absorb: np.ndarray
-    weight: np.ndarray   # 1 / (1 - absorb), 0 for emitters (never used)
-    amb_val: np.ndarray
-    diff_val: np.ndarray
-    specular_val: np.ndarray
-    alpha_val: np.ndarray
-    emit_val: np.ndarray     # emission * base_emission
-    base_em: np.ndarray
-    amb_ctl: np.ndarray      # 0-based control index or -1
-    diff_ctl: np.ndarray
-    specular_ctl: np.ndarray
-    alpha_ctl: np.ndarray
-    emit_ctl: np.ndarray
-    # camera
-    eye: np.ndarray
-    fwd: np.ndarray
-    right: np.ndarray
-    upv: np.ndarray
-    half_w: float
-    half_h: float
-    width: int
-    height: int
+    weight: np.ndarray         # roulette weight 1 / (1 - absorb), 0 for emitters
+    base_emission: np.ndarray
+    value: dict                # binding name -> resolved value per material
+    control: dict              # binding name -> 0-based control index or -1
+
+
+def material_table(materials, theta):
+    def per_material(f, dtype=np.float64):
+        return np.array([f(m) for m in materials], dtype=dtype)
+
+    absorb = per_material(lambda m: m.absorb)
+    return MaterialTable(
+        materials=list(materials), kind=per_material(lambda m: m.kind, np.int64),
+        absorb=absorb,
+        weight=np.where(absorb < 1.0, 1.0 / (1.0 - np.where(absorb < 1.0, absorb, 0.0)), 0.0),
+        base_emission=per_material(lambda m: m.base_emission),
+        value={n: per_material(lambda m: getattr(m, n).resolve(theta)) for n in _BINDINGS},
+        control={n: per_material(lambda m: (getattr(m, n).control or 0) - 1, np.int64)
+                 for n in _BINDINGS})
+
+
+@dataclass
+class PathRecord:
+    """What the sweeps need of a set of paths, one lane per path.
+
+    Row d of the per-depth arrays describes each lane's d-th continuation
+    vertex (valid where d < n_cont): material id, LobeTag code and the u1
+    that sampled the bounce.  Directions and hit points are not kept; the
+    throughput depends only on those three.
+    """
+
+    materials: list        # Material per id
+    n_cont: np.ndarray     # (lanes,) continuation vertices per path
+    term_mat: np.ndarray   # (lanes,) id of the emitter the path ended on, or -1
+    v_mat: np.ndarray      # (depth, lanes)
+    v_tag: np.ndarray      # (depth, lanes)
+    v_u1: np.ndarray       # (depth, lanes)
+
+
+@dataclass
+class SweepCache:
+    """Forward-sweep values the backward sweep reuses, one entry per depth."""
+
+    mats: MaterialTable
+    lanes: list          # lanes with a continuation vertex at that depth
+    radiance_in: list    # radiance each of their vertices reflects, unweighted
+    throughput: list
 
 
 def _v3(v):
     return np.array([v.x, v.y, v.z], dtype=np.float64)
 
 
-def _build_arrays(scene, theta):
+def _flat_prims(scene):
+    """("quad", corner, eu, ev, n, nn, unit_n, mat) / ("sphere", c, r, mat) tuples."""
     prims = []
     for p in scene.primitives:
         if isinstance(p, Sphere):
@@ -106,42 +118,7 @@ def _build_arrays(scene, theta):
             n = np.cross(eu, ev)
             nn = float(n @ n)
             prims.append(("quad", c, eu, ev, n, nn, n / np.sqrt(nn), p.material))
-
-    kind_code = {MaterialKind.EMITTER: _KIND_EMITTER,
-                 MaterialKind.PHONG: _KIND_PHONG,
-                 MaterialKind.LAMBERT: _KIND_LAMBERT}
-    mats = scene.materials
-
-    def vals(f):
-        return np.array([f(m) for m in mats], dtype=np.float64)
-
-    def ctls(f):
-        return np.array([(f(m).control - 1) if f(m).control is not None else -1
-                         for m in mats], dtype=np.int64)
-
-    absorb = vals(lambda m: m.absorb)
-    weight = np.where(absorb < 1.0, 1.0 / (1.0 - np.where(absorb < 1.0, absorb, 0.0)), 0.0)
-    cam = scene.camera
-    return _SceneArrays(
-        prims=prims,
-        kind=np.array([kind_code[m.kind] for m in mats], dtype=np.int64),
-        absorb=absorb,
-        weight=weight,
-        amb_val=vals(lambda m: m.ambient.resolve(theta)),
-        diff_val=vals(lambda m: m.diffuse.resolve(theta)),
-        specular_val=vals(lambda m: m.specular.resolve(theta)),
-        alpha_val=vals(lambda m: m.exponent.resolve(theta)),
-        emit_val=vals(lambda m: m.emission.resolve(theta) * m.base_emission),
-        base_em=vals(lambda m: m.base_emission),
-        amb_ctl=ctls(lambda m: m.ambient),
-        diff_ctl=ctls(lambda m: m.diffuse),
-        specular_ctl=ctls(lambda m: m.specular),
-        alpha_ctl=ctls(lambda m: m.exponent),
-        emit_ctl=ctls(lambda m: m.emission),
-        eye=_v3(cam.eye), fwd=_v3(cam.forward), right=_v3(cam.right),
-        upv=_v3(cam.upv), half_w=cam.half_w, half_h=cam.half_h,
-        width=cam.width, height=cam.height,
-    )
+    return prims
 
 
 def _dot(a, b):
@@ -176,19 +153,6 @@ class _Lanes:
         return (bits >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-def _sin_m(alpha, u1):
-    return np.sqrt(np.clip(1.0 - u1 ** (2.0 / (alpha + 2.0)), 0.0, None))
-
-
-def _dsin_dalpha(alpha, u1):
-    safe_u1 = np.where(u1 > 0.0, u1, 0.5)
-    cos_m = safe_u1 ** (1.0 / (alpha + 2.0))
-    sin_m = np.sqrt(np.clip(1.0 - cos_m * cos_m, 0.0, None))
-    sin_m = np.maximum(sin_m, SIN_CLAMP)
-    out = cos_m * cos_m * np.log(cos_m) / ((alpha + 2.0) * sin_m)
-    return np.where(u1 > 0.0, out, 0.0)
-
-
 def _make_frames(normal):
     """Vectorized twin of geometry.make_frame."""
     z = normal
@@ -209,9 +173,14 @@ def _make_frames(normal):
     return x, y, z
 
 
-def _trace_lanes(sa, lanes, pix, max_depth, n_lanes):
-    """Build path SoA arrays for every lane; mirrors make_path exactly."""
-    W, H = sa.width, sa.height
+def trace_lanes(prims, cam, mats, seed, pix, smp, max_depth):
+    """Trace one lane per (pixel, sample); returns (PathRecord, vertex count).
+
+    Mirrors make_path exactly, draw for draw.
+    """
+    n_lanes = pix.shape[0]
+    lanes = _Lanes(seed, pix, smp)
+    W, H = cam.width, cam.height
     all_mask = np.ones(n_lanes, dtype=bool)
     jx = lanes.draw(all_mask)
     jy = lanes.draw(all_mask)
@@ -219,30 +188,26 @@ def _trace_lanes(sa, lanes, pix, max_depth, n_lanes):
     py = (pix // W).astype(np.float64)
     sx = (px + jx) / W * 2.0 - 1.0
     sy = 1.0 - (py + jy) / H * 2.0
-    D = (sa.fwd[None, :]
-         + sa.right[None, :] * (sx * sa.half_w)[:, None]
-         + sa.upv[None, :] * (sy * sa.half_h)[:, None])
+    D = (_v3(cam.forward)[None, :]
+         + _v3(cam.right)[None, :] * (sx * cam.half_w)[:, None]
+         + _v3(cam.upv)[None, :] * (sy * cam.half_h)[:, None])
     D = D / np.sqrt(_dot(D, D))[:, None]
-    O = np.broadcast_to(sa.eye, (n_lanes, 3)).copy()
+    O = np.broadcast_to(_v3(cam.eye), (n_lanes, 3)).copy()
 
-    status = np.full(n_lanes, _IN_FLIGHT, dtype=np.int8)
+    active = all_mask
+    n_vertices = 0
     n_cont = np.zeros(n_lanes, dtype=np.int32)
-    n_verts = np.zeros(n_lanes, dtype=np.int32)
-    term_emit = np.zeros(n_lanes, dtype=np.float64)  # emission/absorb at emitter terminals
     term_mat = np.full(n_lanes, -1, dtype=np.int64)
-
     v_mat = np.full((max_depth, n_lanes), -1, dtype=np.int64)
-    v_tag = np.full((max_depth, n_lanes), _TAG_NONE, dtype=np.int8)
+    v_tag = np.full((max_depth, n_lanes), LobeTag.NONE, dtype=np.int8)
     v_u1 = np.zeros((max_depth, n_lanes), dtype=np.float64)
 
     for d in range(max_depth):
-        active = status == _IN_FLIGHT
         if not np.any(active):
             break
-
         best_t = np.full(n_lanes, np.inf)
         best_prim = np.full(n_lanes, -1, dtype=np.int64)
-        for i, prim in enumerate(sa.prims):
+        for i, prim in enumerate(prims):
             if prim[0] == "sphere":
                 _, c, r, _m = prim
                 oc = O - c[None, :]
@@ -270,16 +235,14 @@ def _trace_lanes(sa, lanes, pix, max_depth, n_lanes):
             best_t[upd] = t[upd]
             best_prim[upd] = i
 
-        miss = active & (best_prim < 0)
-        status[miss] = _ESCAPED
-        hit = active & ~miss
+        hit = active & (best_prim >= 0)  # the others escaped
         if not np.any(hit):
             break
 
         point = O + best_t[:, None] * D
         normal = np.zeros((n_lanes, 3))
         mat = np.full(n_lanes, -1, dtype=np.int64)
-        for i, prim in enumerate(sa.prims):
+        for i, prim in enumerate(prims):
             sel = hit & (best_prim == i)
             if not np.any(sel):
                 continue
@@ -292,35 +255,25 @@ def _trace_lanes(sa, lanes, pix, max_depth, n_lanes):
             mat[sel] = m
         flip = hit & (_dot(normal, D) > 0.0)
         normal[flip] = -normal[flip]
-
-        v_mat[d, hit] = mat[hit]
-        n_verts[hit] = d + 1
+        n_vertices += int(np.count_nonzero(hit))
 
         u_rr = lanes.draw(hit)
-        mat_absorb = sa.absorb[np.where(hit, mat, 0)]
-        terminal = hit & (u_rr < mat_absorb)
-        if np.any(terminal):
-            is_em = terminal & (sa.kind[np.where(terminal, mat, 0)] == _KIND_EMITTER)
-            status[terminal & ~is_em] = _ABSORBED
-            status[is_em] = _EMITTER
-            term_mat[terminal] = mat[terminal]
-            term_emit[is_em] = (sa.emit_val[mat[is_em]] / sa.absorb[mat[is_em]])
+        terminal = hit & (u_rr < mats.absorb[np.where(hit, mat, 0)])
+        is_em = terminal & (mats.kind[np.where(terminal, mat, 0)] == MaterialKind.EMITTER)
+        term_mat[is_em] = mat[is_em]
 
         surviving = hit & ~terminal
-        if d + 1 >= max_depth:
-            status[surviving] = _MAX_DEPTH
-            continue
-        if not np.any(surviving):
-            continue
+        if d + 1 >= max_depth or not np.any(surviving):
+            break  # the rest end here, at the depth cap or by roulette
 
-        is_phong = surviving & (sa.kind[np.where(surviving, mat, 0)] == _KIND_PHONG)
+        is_phong = surviving & (mats.kind[np.where(surviving, mat, 0)] == MaterialKind.PHONG)
         u_lobe = lanes.draw(is_phong)
         specular = is_phong & (u_lobe < Q_LOBE)
         u1 = lanes.draw(surviving)
         u2 = lanes.draw(surviving)
 
         fx, fy, fz = _make_frames(normal)
-        alpha = np.where(specular, sa.alpha_val[np.where(specular, mat, 0)], 0.0)
+        alpha = np.where(specular, mats.value["exponent"][np.where(specular, mat, 0)], 0.0)
         t_pow = np.where(surviving, u1, 0.25) ** (2.0 / (alpha + 2.0))
         zloc = np.sqrt(t_pow)
         rloc = np.sqrt(1.0 - t_pow)
@@ -346,32 +299,95 @@ def _trace_lanes(sa, lanes, pix, max_depth, n_lanes):
             sel = specular & ~below
             dir_out[sel] = out[sel]
 
+        v_mat[d, surviving] = mat[surviving]
         v_u1[d, surviving] = u1[surviving]
-        tag = np.where(specular, _TAG_SPECULAR,
-                       np.where(is_phong, _TAG_DIFFUSE, _TAG_LAMBERT))
-        v_tag[d, surviving] = tag[surviving].astype(np.int8)
+        tag = np.where(specular, LobeTag.SPECULAR,
+                       np.where(is_phong, LobeTag.DIFFUSE, LobeTag.LAMBERT_ONLY))
+        v_tag[d, surviving] = tag[surviving]
 
-        status[below] = _BELOW_HORIZON
-        cont = surviving & ~below
-        n_cont[cont] = d + 1
+        active = surviving & ~below  # below-horizon samples end the path
+        n_cont[active] = d + 1
         # keep retired lanes finite so unmasked arithmetic stays warning-free
-        O = np.where(cont[:, None], point, O)
-        D = np.where(cont[:, None], dir_out, D)
+        O = np.where(active[:, None], point, O)
+        D = np.where(active[:, None], dir_out, D)
 
-    max_cont = int(n_cont.max()) if n_lanes else 0
-    return status, n_cont, n_verts, term_emit, term_mat, v_mat, v_tag, v_u1, max_cont
+    depth = int(n_cont.max()) if n_lanes else 0
+    record = PathRecord(materials=mats.materials, n_cont=n_cont, term_mat=term_mat,
+                        v_mat=v_mat[:depth], v_tag=v_tag[:depth], v_u1=v_u1[:depth])
+    return record, n_vertices
 
 
-def _throughput(sa, mat, tag, u1):
-    """Per-lane bounce throughput for recorded continuation vertices."""
-    diff = sa.diff_val[mat]
-    f = np.where(tag == _TAG_LAMBERT, diff,
-                 np.where(tag == _TAG_DIFFUSE, diff / (1.0 - Q_LOBE), 0.0))
-    spec_sel = tag == _TAG_SPECULAR
-    if np.any(spec_sel):
-        s = sa.specular_val[mat] * _sin_m(sa.alpha_val[mat], u1) / Q_LOBE
-        f = np.where(spec_sel, s, f)
-    return f
+def _lobe_groups(record, d, lanes):
+    """(tag, positions within ``lanes``) per lobe the depth-d vertices used."""
+    tags = record.v_tag[d, lanes]
+    for tag in LobeTag:  # continuation vertices never carry NONE
+        sel = np.flatnonzero(tags == tag)
+        if sel.size:
+            yield tag, sel
+
+
+def forward(record, mats):
+    """Camera radiance per lane, plus the cache ``backward`` needs.
+
+    Sweeps each path terminal -> camera like path_engine.forward_pass: an
+    emitter terminal starts at emission / absorb, then every continuation
+    vertex applies  L <- ambient + throughput * L * weight.
+    """
+    depth, n_lanes = record.v_mat.shape
+    radiance = np.zeros(n_lanes)
+    em = np.flatnonzero(record.term_mat >= 0)
+    m = record.term_mat[em]
+    radiance[em] = mats.value["emission"][m] * mats.base_emission[m] / mats.absorb[m]
+    cache = SweepCache(mats, [None] * depth, [None] * depth, [None] * depth)
+    for d in range(depth - 1, -1, -1):
+        lanes = np.flatnonzero(record.n_cont > d)
+        mat = record.v_mat[d, lanes]
+        f = np.empty(lanes.shape[0])
+        for tag, sel in _lobe_groups(record, d, lanes):
+            m = mat[sel]
+            f[sel] = throughput(tag, mats.value["diffuse"][m], mats.value["specular"][m],
+                                mats.value["exponent"][m], record.v_u1[d, lanes[sel]])
+        r = radiance[lanes]
+        cache.lanes[d], cache.radiance_in[d], cache.throughput[d] = lanes, r, f
+        radiance[lanes] = mats.value["ambient"][mat] + f * r * mats.weight[mat]
+    return radiance, cache
+
+
+def _scatter(g, control, lanes, amount):
+    """g[control[i], lanes[i]] += amount[i] wherever control[i] is bound."""
+    bound = control >= 0
+    g[control[bound], lanes[bound]] += amount[bound]
+
+
+def backward(record, cache, adjoint):
+    """Gradient contributions per lane, shape (N_CONTROLS, lanes).
+
+    Sweeps each path camera -> terminal like path_engine.backward_pass,
+    starting from the per-lane ``adjoint`` and carrying it through the
+    forward sweep's throughput * weight factors.  Every vertex adds each
+    binding partial into the control slot that binding is bound to.
+    """
+    mats = cache.mats
+    g = np.zeros((N_CONTROLS, record.n_cont.shape[0]))
+    p = np.array(adjoint, dtype=np.float64)
+    for d, lanes in enumerate(cache.lanes):
+        mat = record.v_mat[d, lanes]
+        w = mats.weight[mat]
+        rad_w = cache.radiance_in[d] * w
+        p_d = p[lanes]
+        _scatter(g, mats.control["ambient"][mat], lanes, p_d)
+        for tag, sel in _lobe_groups(record, d, lanes):
+            m = mat[sel]
+            for name, amount in throughput_partials(
+                    tag, mats.value["specular"][m], mats.value["exponent"][m],
+                    record.v_u1[d, lanes[sel]], rad_w[sel], p_d[sel]):
+                _scatter(g, mats.control[name][m], lanes[sel], amount)
+        p[lanes] = cache.throughput[d] * w * p_d
+    em = np.flatnonzero(record.term_mat >= 0)
+    m = record.term_mat[em]
+    _scatter(g, mats.control["emission"][m], em,
+             emission_partial(mats.base_emission[m], mats.absorb[m], p[em]))
+    return g
 
 
 @dataclass
@@ -383,33 +399,14 @@ class _ChunkResult:
     grad_pixel: np.ndarray | None
 
 
-def _trace_chunk(sa, pixel_indices, spp, seed, targets, want_grad,
+def _trace_chunk(prims, cam, mats, pixel_indices, spp, seed, targets, want_grad,
                  want_grad_images, max_depth):
     npix = pixel_indices.shape[0]
-    n_lanes = npix * spp
     pix = np.repeat(pixel_indices, spp)
     smp = np.tile(np.arange(spp, dtype=np.int64), npix)
-    lanes = _Lanes(seed, pix, smp)
-
-    (status, n_cont, n_verts, term_emit, term_mat,
-     v_mat, v_tag, v_u1, max_cont) = _trace_lanes(sa, lanes, pix, max_depth, n_lanes)
-
-    # forward sweep, terminal -> camera
-    radiance = term_emit.copy()  # nonzero only on emitter-terminated lanes
-    sr = np.zeros((max_cont, n_lanes)) if max_cont else None
-    f_cache = np.zeros((max_cont, n_lanes)) if max_cont else None
-    for d in range(max_cont - 1, -1, -1):
-        cmask = n_cont > d
-        mat = np.where(cmask, v_mat[d], 0)
-        f = _throughput(sa, mat, v_tag[d], v_u1[d])
-        w = sa.weight[mat]
-        amb = sa.amb_val[mat]
-        sr[d] = radiance
-        f_cache[d] = f
-        radiance = np.where(cmask, amb + f * radiance * w, radiance)
-
-    lane_rad = radiance.reshape(npix, spp)
-    pixel_sum = lane_rad.sum(axis=1)
+    record, n_vertices = trace_lanes(prims, cam, mats, seed, pix, smp, max_depth)
+    radiance, cache = forward(record, mats)
+    pixel_sum = radiance.reshape(npix, spp).sum(axis=1)
 
     cost = 0.0
     grad = np.zeros(N_CONTROLS)
@@ -420,57 +417,14 @@ def _trace_chunk(sa, pixel_indices, spp, seed, targets, want_grad,
         mean32 = (pixel_sum / spp).astype(np.float32).astype(np.float64)
         resid = mean32 - targets
         cost = float(0.5 * (resid @ resid))
-        seed_adj = np.repeat(resid / spp, spp)
-        g_lane = np.zeros((N_CONTROLS, n_lanes))
-        p = seed_adj.copy()
-        for d in range(max_cont):
-            cmask = n_cont > d
-            mat = np.where(cmask, v_mat[d], 0)
-            tag = v_tag[d]
-            w = sa.weight[mat]
-            rad_w = sr[d] * w
-            for mi in range(len(sa.kind)):
-                sel = cmask & (mat == mi)
-                if not np.any(sel):
-                    continue
-                if sa.amb_ctl[mi] >= 0:
-                    g_lane[sa.amb_ctl[mi], sel] += p[sel]
-                if sa.diff_ctl[mi] >= 0:
-                    lam = sel & (tag == _TAG_LAMBERT)
-                    g_lane[sa.diff_ctl[mi], lam] += rad_w[lam] * p[lam]
-                    dif = sel & (tag == _TAG_DIFFUSE)
-                    g_lane[sa.diff_ctl[mi], dif] += rad_w[dif] * p[dif] / (1.0 - Q_LOBE)
-                spe = sel & (tag == _TAG_SPECULAR)
-                if np.any(spe):
-                    if sa.specular_ctl[mi] >= 0:
-                        g_lane[sa.specular_ctl[mi], spe] += (
-                            _sin_m(sa.alpha_val[mi], v_u1[d, spe])
-                            * rad_w[spe] * p[spe] / Q_LOBE)
-                    if sa.alpha_ctl[mi] >= 0:
-                        g_lane[sa.alpha_ctl[mi], spe] += (
-                            sa.specular_val[mi]
-                            * _dsin_dalpha(sa.alpha_val[mi], v_u1[d, spe])
-                            * rad_w[spe] * p[spe] / Q_LOBE)
-            p = np.where(cmask, f_cache[d] * sa.weight[mat] * p, p)
-        em = status == _EMITTER
-        if np.any(em):
-            for mi in range(len(sa.kind)):
-                if sa.emit_ctl[mi] < 0:
-                    continue
-                sel = em & (term_mat == mi)
-                g_lane[sa.emit_ctl[mi], sel] += (sa.base_em[mi] * p[sel]
-                                                 / sa.absorb[mi])
+        g_lane = backward(record, cache, np.repeat(resid / spp, spp))
         grad_pixel_full = g_lane.reshape(N_CONTROLS, npix, spp).sum(axis=2)
         grad = grad_pixel_full.sum(axis=1)
         if want_grad_images:
             grad_pixel = grad_pixel_full
 
-    return _ChunkResult(pixel_sum=pixel_sum, n_verts_total=int(n_verts.sum()),
+    return _ChunkResult(pixel_sum=pixel_sum, n_verts_total=n_vertices,
                         cost=cost, grad=grad, grad_pixel=grad_pixel)
-
-
-def _chunk_job(args):
-    return _trace_chunk(*args)
 
 
 @dataclass
@@ -484,8 +438,9 @@ class TraceResult:
 
 def trace(scene, theta, spp, seed, target_rows, want_grad, threads, max_depth,
           want_grad_images):
-    sa = _build_arrays(scene, theta)
-    W, H = sa.width, sa.height
+    prims = _flat_prims(scene)
+    mats = material_table(scene.materials, theta)
+    W, H = scene.camera.width, scene.camera.height
     npix = W * H
     all_pixels = np.arange(npix, dtype=np.int64)
     targets_flat = target_rows.reshape(-1) if target_rows is not None else None
@@ -497,15 +452,17 @@ def trace(scene, theta, spp, seed, target_rows, want_grad, threads, max_depth,
     for i in range(n_chunks):
         lo, hi = bounds[i], bounds[i + 1]
         tgt = targets_flat[lo:hi] if targets_flat is not None else None
-        jobs.append((sa, all_pixels[lo:hi], spp, seed, tgt, want_grad,
+        jobs.append((prims, scene.camera, mats, all_pixels[lo:hi], spp, seed, tgt, want_grad,
                      want_grad_images, max_depth))
 
     if n_chunks == 1:
         results = [_trace_chunk(*jobs[0])]
     else:
+        # imported here so that `import pathgrad` does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
         ctx_workers = min(n_chunks, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=ctx_workers) as pool:
-            results = list(pool.map(_chunk_job, jobs))
+            results = list(pool.map(_trace_chunk, *zip(*jobs)))
 
     pixel_sum = np.concatenate([r.pixel_sum for r in results])
     cost = 0.0

@@ -72,12 +72,13 @@ def _common_options(fn):
                       help="Override image width.")(fn)
     fn = click.option("--height", type=int, default=None,
                       help="Override image height.")(fn)
-    fn = click.option("--spp", type=int, default=16, show_default=True,
-                      help="Samples per pixel.")(fn)
+    fn = click.option("--spp", type=click.IntRange(min=1), default=16,
+                      show_default=True, help="Samples per pixel.")(fn)
     fn = click.option("--seed", type=int, default=42, show_default=True,
                       help="Deterministic stream seed.")(fn)
-    fn = click.option("--max-depth", type=int, default=DEFAULT_MAX_DEPTH,
-                      show_default=True, help="Path length cap.")(fn)
+    fn = click.option("--max-depth", type=click.IntRange(min=1),
+                      default=DEFAULT_MAX_DEPTH, show_default=True,
+                      help="Path length cap.")(fn)
     fn = click.option("--threads", type=int, default=1, show_default=True,
                       help="Worker processes for pixel chunks.")(fn)
     fn = click.option("--theta", "theta_text", type=str, default=None,

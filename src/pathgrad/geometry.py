@@ -1,14 +1,15 @@
 """3-vectors, rays, primitive intersection and tangent-frame construction.
 
-Everything here is plain float math on small objects; the batched tracer in
-``_wavefront`` mirrors these formulas on numpy arrays, so any change to an
-intersection or frame formula must be made in both places.
+Everything here is plain float math on small objects.  It is the scalar
+reference for the batched tracer in ``_wavefront``, which evaluates the same
+intersection and frame formulas on numpy arrays; tests hold the two to the
+same paths, draw for draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Hits closer than this along the ray are rejected (self-intersection guard).
 T_MIN = 1e-4
@@ -128,13 +129,6 @@ class Quad:
     edge_u: Vec3
     edge_v: Vec3
     material: int = -1
-    # cached unnormalized plane normal and its squared length
-    _n: Vec3 = field(init=False, repr=False)
-    _nn: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._n = self.edge_u.cross(self.edge_v)
-        self._nn = self._n.dot(self._n)
 
 
 def _oriented(normal, ray_dir):

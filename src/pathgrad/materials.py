@@ -7,13 +7,15 @@ scalar controls:
     2 glossy ambient              6 matte ambient
     3 glossy diffuse reflectance  7 matte diffuse reflectance
 
-``bsdf_d_pdf`` returns the full throughput of a sampled bounce, BSDF times
+``throughput`` is the full throughput of a sampled bounce, BSDF times
 cosine over the sampling PDF, including the lobe-selection weight, so the
 forward radiance recursion is simply  L_out = ambient + throughput * L_in
-(times the roulette weight applied by the path engine).  The gradient rules
-in ``accumulate_gradients`` are the exact partial derivatives of that same
-throughput, which is what makes adjoint and finite-difference results agree
-to machine precision on a frozen path.
+(times the roulette weight applied by the sweeps).  ``throughput_partials``
+and ``emission_partial`` are its exact partial derivatives and those of the
+emitted radiance, which is what makes adjoint and finite-difference results
+agree to machine precision on a frozen path.  Every rule takes floats or
+per-lane arrays, so the scalar reference and the vectorized sweeps in
+``_wavefront`` run the same code; enum values are the codes lanes store.
 """
 
 from __future__ import annotations
@@ -38,19 +40,19 @@ def _check_control_index(k):
         raise ValueError(f"control index must be in 1..{N_CONTROLS}, got {k}")
 
 
-class MaterialKind(enum.Enum):
-    EMITTER = "emitter"
-    PHONG = "phong"
-    LAMBERT = "lambert"
+class MaterialKind(enum.IntEnum):
+    EMITTER = 0
+    PHONG = 1
+    LAMBERT = 2
 
 
-class LobeTag(enum.Enum):
+class LobeTag(enum.IntEnum):
     """Which lobe produced a vertex's outgoing direction."""
 
-    DIFFUSE = "diffuse"        # glossy material, diffuse lobe
-    SPECULAR = "specular"      # glossy material, specular lobe
-    LAMBERT_ONLY = "lambert"   # matte material
-    NONE = "none"              # terminal vertex, no outgoing direction
+    NONE = 0           # terminal vertex, no outgoing direction
+    LAMBERT_ONLY = 1   # matte material
+    DIFFUSE = 2        # glossy material, diffuse lobe
+    SPECULAR = 3       # glossy material, specular lobe
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,20 +215,49 @@ def sample_direction(material, normal, incoming, rng, theta):
     raise ValueError(f"sample_direction() called on emitter material {material.name!r}")
 
 
-def bsdf_d_pdf(material, normal, dir_in, dir_out, tag, u1, theta):
+def throughput(tag, diffuse, specular, exponent, u1):
     """Throughput of a sampled bounce: BSDF * cosine / PDF, lobe pick included.
 
-    The specular factor uses sin_m_of(exponent, u1), i.e. the sine realized by
-    the stored uniform, not the one recomputed from the directions.
+    Floats, or per-lane arrays of vertices that all carry ``tag``.  The
+    specular factor is sin_m_of(exponent, u1), the sine the stored uniform
+    realized, not the one recomputed from the directions.
     """
-    if tag is LobeTag.LAMBERT_ONLY:
-        return material.diffuse.resolve(theta)
-    if tag is LobeTag.DIFFUSE:
-        return material.diffuse.resolve(theta) / (1.0 - Q_LOBE)
-    if tag is LobeTag.SPECULAR:
-        alpha = material.exponent.resolve(theta)
-        return material.specular.resolve(theta) * sin_m_of(alpha, u1) / Q_LOBE
-    raise ValueError(f"bsdf_d_pdf() needs a directional lobe tag, got {tag}")
+    if tag == LobeTag.LAMBERT_ONLY:
+        return diffuse
+    if tag == LobeTag.DIFFUSE:
+        return diffuse / (1.0 - Q_LOBE)
+    if tag == LobeTag.SPECULAR:
+        return specular * sin_m_of(exponent, u1) / Q_LOBE
+    raise ValueError(f"throughput needs a directional lobe tag, got {tag!r}")
+
+
+def throughput_partials(tag, specular, exponent, u1, radiance, adjoint):
+    """(binding name, d throughput / d binding * radiance * adjoint) pairs.
+
+    One pair per parameter the throughput of a ``tag`` bounce depends on,
+    in accumulation order; floats or per-lane arrays as in ``throughput``.
+    """
+    if tag == LobeTag.SPECULAR:
+        return (("specular", sin_m_of(exponent, u1) * radiance * adjoint / Q_LOBE),
+                ("exponent", specular * dsin_dalpha(exponent, u1)
+                 * radiance * adjoint / Q_LOBE))
+    if tag == LobeTag.DIFFUSE:
+        return (("diffuse", radiance * adjoint / (1.0 - Q_LOBE)),)
+    if tag == LobeTag.LAMBERT_ONLY:
+        return (("diffuse", radiance * adjoint),)
+    return ()
+
+
+def emission_partial(base_emission, absorb, adjoint):
+    """d(emission * base_emission / absorb) / d emission * adjoint."""
+    return base_emission * adjoint / absorb
+
+
+def bsdf_d_pdf(material, normal, dir_in, dir_out, tag, u1, theta):
+    """Throughput of one sampled bounce of ``material`` (see ``throughput``)."""
+    return throughput(tag, material.diffuse.resolve(theta),
+                      material.specular.resolve(theta),
+                      material.exponent.resolve(theta), u1)
 
 
 def accumulate_gradients(material, normal, dir_in, dir_out, tag, u1,
@@ -241,26 +272,16 @@ def accumulate_gradients(material, normal, dir_in, dir_out, tag, u1,
     """
     if material.kind is MaterialKind.EMITTER:
         if material.emission.control is not None:
-            grad.add(material.emission.control,
-                     material.base_emission * adjoint / material.absorb)
+            grad.add(material.emission.control, emission_partial(
+                material.base_emission, material.absorb, adjoint))
         return grad
 
     if material.ambient.control is not None:
         grad.add(material.ambient.control, adjoint)
-
-    if tag is LobeTag.LAMBERT_ONLY:
-        if material.diffuse.control is not None:
-            grad.add(material.diffuse.control, radiance * adjoint)
-    elif tag is LobeTag.DIFFUSE:
-        if material.diffuse.control is not None:
-            grad.add(material.diffuse.control, radiance * adjoint / (1.0 - Q_LOBE))
-    elif tag is LobeTag.SPECULAR:
-        alpha = material.exponent.resolve(theta)
-        if material.specular.control is not None:
-            grad.add(material.specular.control,
-                     sin_m_of(alpha, u1) * radiance * adjoint / Q_LOBE)
-        if material.exponent.control is not None:
-            grad.add(material.exponent.control,
-                     material.specular.resolve(theta)
-                     * dsin_dalpha(alpha, u1) * radiance * adjoint / Q_LOBE)
+    for name, amount in throughput_partials(
+            tag, material.specular.resolve(theta),
+            material.exponent.resolve(theta), u1, radiance, adjoint):
+        control = getattr(material, name).control
+        if control is not None:
+            grad.add(control, amount)
     return grad

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import Vec3, make_frame
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -64,10 +66,6 @@ class RngStream:
         self.counter += 1
         z = (self.key + self.counter * _GOLDEN) & _MASK64
         return (_mix64(z) >> 11) * 2.0**-53
-
-
-def rng_next(stream):
-    return stream.next()
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,17 +115,22 @@ def sample_phong_reflection(normal, incoming, alpha, u1, u2):
     return out
 
 
+def _check_lobe_args(alpha, u1):
+    if np.any(alpha < 0.0):
+        raise ValueError(f"alpha must be >= 0, got {np.min(alpha)}")
+    if not np.all((0.0 <= u1) & (u1 < 1.0)):
+        raise ValueError(f"u1 must be in [0, 1), got {u1}")
+
+
 def sin_m_of(alpha, u1):
     """Sine of the sampled half-vector polar angle, recovered from u1.
 
     Equals sqrt(1 - u1^(2/(alpha+2))); the exact quantity the sampler realized,
     which keeps forward, backward and frozen-replay evaluations consistent.
+    Takes floats or per-lane arrays.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not 0.0 <= u1 < 1.0:
-        raise ValueError(f"u1 must be in [0, 1), got {u1}")
-    return math.sqrt(max(0.0, 1.0 - u1 ** (2.0 / (alpha + 2.0))))
+    _check_lobe_args(alpha, u1)
+    return np.sqrt(np.maximum(0.0, 1.0 - u1 ** (2.0 / (alpha + 2.0))))
 
 
 def dsin_dalpha(alpha, u1):
@@ -135,15 +138,12 @@ def dsin_dalpha(alpha, u1):
 
     d/dalpha sqrt(1 - u1^(2/(a+2))) = cos^2(tm) * log(cos(tm)) / ((a+2) sin(tm))
     with cos(tm) = u1^(1/(a+2)).  Always <= 0: raising the exponent narrows
-    the lobe.  sin(tm) is clamped to SIN_CLAMP near u1 -> 1.
+    the lobe.  sin(tm) is clamped to SIN_CLAMP near u1 -> 1, and u1 = 0 gives
+    the continuous limit 0.  Takes floats or per-lane arrays.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not 0.0 <= u1 < 1.0:
-        raise ValueError(f"u1 must be in [0, 1), got {u1}")
-    if u1 == 0.0:
-        return 0.0  # continuous limit: cos^2 log cos -> 0
-    cos_m = u1 ** (1.0 / (alpha + 2.0))
-    sin_m = math.sqrt(max(0.0, 1.0 - cos_m * cos_m))
-    sin_m = max(sin_m, SIN_CLAMP)
-    return cos_m * cos_m * math.log(cos_m) / ((alpha + 2.0) * sin_m)
+    _check_lobe_args(alpha, u1)
+    drawn = u1 > 0.0
+    cos_m = np.where(drawn, u1, 0.5) ** (1.0 / (alpha + 2.0))
+    sin_m = np.maximum(np.sqrt(np.maximum(0.0, 1.0 - cos_m * cos_m)), SIN_CLAMP)
+    out = cos_m * cos_m * np.log(cos_m) / ((alpha + 2.0) * sin_m)
+    return np.where(drawn, out, 0.0)[()]

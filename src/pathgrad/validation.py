@@ -1,12 +1,13 @@
 """Finite-difference validation of backward-pass gradients on frozen paths.
 
-The backward pass claims to differentiate the cost of a *fixed* set of light
-paths.  Freezing an ensemble of paths (geometry, lobe choices, and the raw
-uniforms behind them) turns the renderer into an ordinary deterministic
+The backward sweep claims to differentiate the cost of a *fixed* set of
+light paths.  Freezing an ensemble of paths (geometry, lobe choices, and the
+raw uniforms behind them) turns the renderer into an ordinary deterministic
 function of the controls, which central differences can check to near
 machine precision.  This module builds such ensembles, replays them at
 perturbed controls, and reports per-control agreement across a ladder of
-step sizes.
+step sizes.  Paths are frozen by the scalar tracer, the independent
+reference, and replayed through the vectorized sweeps trace_image ships.
 
 It also carries the closed-form chain model used as an exact oracle: a
 straight run of N-1 identical reflections into an emissive cap has camera
@@ -23,8 +24,7 @@ from .geometry import Hit, Vec3
 from .materials import (Binding, ControlVector, GradientVector, LobeTag,
                         Material)
 from .path_engine import (DEFAULT_MAX_DEPTH, Path, PathVertex, TerminalKind,
-                          backward_pass, cost_and_adjoint, forward_pass,
-                          trace_pixel_sample)
+                          cost_and_adjoint, trace_pixel_sample)
 
 EPS_LADDER = (1e-1, 1e-4, 1e-7, 1e-10)
 REL_TOL = 1e-3
@@ -37,15 +37,41 @@ class FrozenEnsemble:
     paths: list
     targets: np.ndarray
     label: str = ""
+    record: object = field(init=False, repr=False)  # _wavefront.PathRecord
 
     def __post_init__(self):
         self.targets = np.asarray(self.targets, dtype=np.float64)
         if self.targets.shape != (len(self.paths),):
             raise ValueError("one target radiance per path required")
+        self.record = _record_of(self.paths)
 
     @property
     def n_paths(self):
         return len(self.paths)
+
+
+def _record_of(paths):
+    """The sweeps' view of frozen paths, one lane per path."""
+    from ._wavefront import PathRecord  # loaded on first use, not by `import pathgrad`
+    ids = {}  # id(material) -> (material id, material)
+
+    def mat_id(material):
+        return ids.setdefault(id(material), (len(ids), material))[0]
+
+    n_cont = np.array([p.continuation_count for p in paths], dtype=np.int32)
+    shape = (int(n_cont.max(initial=0)), len(paths))
+    v_mat = np.full(shape, -1, dtype=np.int64)
+    v_tag = np.full(shape, LobeTag.NONE, dtype=np.int8)
+    v_u1 = np.zeros(shape)
+    term_mat = np.full(len(paths), -1, dtype=np.int64)
+    for lane, path in enumerate(paths):
+        for d, v in enumerate(path.vertices[:n_cont[lane]]):
+            v_mat[d, lane] = mat_id(v.material)
+            v_tag[d, lane] = v.tag
+            v_u1[d, lane] = v.u1
+        if path.terminal_kind is TerminalKind.EMITTER:
+            term_mat[lane] = mat_id(path.vertices[-1].material)
+    return PathRecord([m for _, m in ids.values()], n_cont, term_mat, v_mat, v_tag, v_u1)
 
 
 def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
@@ -68,33 +94,33 @@ def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
 
 def build_single_path_ensemble(scene, theta, seed, sample_index=0,
                                max_depth=DEFAULT_MAX_DEPTH, target=0.0):
-    """Freeze just the center-pixel path, for one-path gradient tables."""
-    cam = scene.camera
-    pixel = (cam.height // 2) * cam.width + cam.width // 2
-    path = trace_pixel_sample(scene, theta, pixel, sample_index, seed, max_depth)
-    return FrozenEnsemble([path], np.array([target]), label="single-path")
+    """Freeze just the center-pixel path (the 1 x 1 lattice), for one-path tables."""
+    return build_lattice_ensemble(scene, theta, seed, grid=1,
+                                  sample_index=sample_index,
+                                  max_depth=max_depth, targets=[target],
+                                  label="single-path")
+
+
+def _sweep(ensemble, theta):
+    """Forward sweep at theta: residuals, mean quadratic cost, sweep cache."""
+    from ._wavefront import forward, material_table
+    record = ensemble.record
+    radiance, cache = forward(record, material_table(record.materials, theta))
+    costs, resid = cost_and_adjoint(radiance, ensemble.targets)
+    return resid, float(np.sum(costs)) / ensemble.n_paths, cache
 
 
 def ensemble_cost(ensemble, theta):
     """Mean quadratic cost of the frozen paths at the given controls."""
-    total = 0.0
-    for path, target in zip(ensemble.paths, ensemble.targets):
-        cost, _ = cost_and_adjoint(forward_pass(path, theta), target)
-        total += cost
-    return total / ensemble.n_paths
+    return _sweep(ensemble, theta)[1]
 
 
 def ensemble_cost_and_grad(ensemble, theta):
-    """Cost plus its exact gradient from one backward sweep per path."""
-    n = ensemble.n_paths
-    total = 0.0
-    grad = GradientVector()
-    for path, target in zip(ensemble.paths, ensemble.targets):
-        radiance = forward_pass(path, theta)
-        cost, adj = cost_and_adjoint(radiance, target)
-        total += cost / n
-        backward_pass(path, adj / n, theta, grad)
-    return total, grad
+    """Cost plus its exact gradient from one backward sweep over the paths."""
+    from ._wavefront import backward
+    resid, cost, cache = _sweep(ensemble, theta)
+    g_lane = backward(ensemble.record, cache, resid / ensemble.n_paths)
+    return cost, GradientVector(g_lane.sum(axis=1))
 
 
 def fd_gradient_frozen(ensemble, theta, control, eps):

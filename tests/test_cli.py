@@ -62,6 +62,10 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
      "--free", "9"],                               # control out of range
     ["dump-path", "--cornell", "--pixel", "99,0"],  # outside the raster
     ["dump-path", "--cornell", "--pixel", "zap"],
+    ["render", "--cornell", "--spp", "0"],         # no samples
+    ["render", "--cornell", "--max-depth", "0"],   # no path vertex
+    ["render", "--cornell", "--max-depth", "-3"],
+    ["dump-path", "--cornell", "--max-depth", "0"],
     ["no-such-command"],
 ])
 def test_usage_errors_exit_one(argv, tmp_path, monkeypatch):

@@ -156,9 +156,3 @@ def test_frame_to_world_roundtrip():
         v = f.to_world(a, b, c)
         assert_allclose((v.dot(f.x_axis), v.dot(f.y_axis), v.dot(f.z_axis)),
                         (a, b, c), atol=1e-12)
-
-
-def test_quad_caches_plane_normal():
-    q = Quad(Vec3(0, 0, 0), Vec3(2, 0, 0), Vec3(0, 2, 0))
-    assert q._n.as_tuple() == (0.0, 0.0, 4.0)
-    assert q._nn == 16.0

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pathgrad.materials import GradientVector
+from pathgrad.path_engine import (TerminalKind, backward_pass,
+                                  cost_and_adjoint, forward_pass)
 from pathgrad.scene_io import build_cornell_box
 from pathgrad.validation import (ABS_FLOOR, EPS_LADDER, REL_TOL, FdReport,
                                  FdRow, FrozenEnsemble, analytic_geometric,
@@ -63,6 +66,28 @@ def test_cornell_lattice_all_controls_pass_at_decisive_step():
     report = compare_gradients(ensemble, theta, eps_list=(1e-4,))
     assert report.rows_at(1e-4)
     assert report.all_pass, report.to_text()
+
+
+def test_ensemble_sweeps_match_scalar_passes():
+    # the shipped sweeps replay frozen paths like the scalar passes, up to
+    # rounding (summation order, array pow/log)
+    scene, theta = build_cornell_box(64, 64)
+    ensemble = build_lattice_ensemble(scene, theta, seed=4, grid=8, max_depth=4,
+                                      targets=np.linspace(0.0, 0.5, 64))
+    assert {p.terminal_kind for p in ensemble.paths} == {
+        TerminalKind.ABSORBED, TerminalKind.EMITTER, TerminalKind.BELOW_HORIZON,
+        TerminalKind.MAX_DEPTH}
+    n = ensemble.n_paths
+    want_cost = 0.0
+    want_grad = GradientVector()
+    for path, target in zip(ensemble.paths, ensemble.targets):
+        cost, adj = cost_and_adjoint(forward_pass(path, theta), target)
+        want_cost += cost / n
+        backward_pass(path, adj / n, theta, want_grad)
+    cost, grad = ensemble_cost_and_grad(ensemble, theta)
+    assert_allclose(cost, want_cost, rtol=1e-12)
+    assert_allclose(grad.as_array(), want_grad.as_array(), rtol=1e-12)
+    assert all(g != 0.0 for g in grad.as_tuple())
 
 
 def test_single_path_ensemble_center_pixel():

@@ -6,10 +6,27 @@ import pytest
 
 from pathgrad import _wavefront
 from pathgrad.materials import GradientVector, N_CONTROLS
-from pathgrad.path_engine import (backward_pass, forward_pass, trace_image,
-                                  trace_pixel_sample)
+from pathgrad.path_engine import (TerminalKind, backward_pass, forward_pass,
+                                  trace_image, trace_pixel_sample)
 from pathgrad.sampling import _MASK64, _mix64, stream_key
-from pathgrad.scene_io import ScalarImage, build_cornell_box
+from pathgrad.scene_io import ScalarImage, build_cornell_box, parse_scene
+
+# sphere, floor and lamp under an open sky: many lanes escape
+OPEN_SCENE = """\
+camera eye 0 150 -500 look 0 80 0 up 0 1 0 fov 60 res 12 12
+material lamp emitter emission @1 base 15.0 absorb 1.0
+material floor lambert ambient @6 diffuse @7 absorb 0.3
+material ball phong ambient @2 diffuse @3 specular @4 exponent @5 absorb 0.3
+quad p -400 0 -400 u 800 0 0 v 0 0 800 mat floor
+quad p -100 400 -100 u 200 0 0 v 0 0 200 mat lamp
+sphere c 0 80 0 r 80 mat ball
+theta 1.0 0.1 0.6 0.4 20.0 0.1 0.7
+"""
+
+
+def _open_scene():
+    scene = parse_scene(OPEN_SCENE)
+    return scene, scene.theta
 
 
 def test_mix64_vector_matches_scalar():
@@ -35,12 +52,14 @@ def _scalar_reference(scene, theta, spp, seed, target, max_depth=16):
     npix = cam.width * cam.height
     sums = np.zeros(npix)
     paths = []
+    kinds = set()
     for pixel in range(npix):
         per_pixel = []
         for s in range(spp):
             path = trace_pixel_sample(scene, theta, pixel, s, seed,
                                       max_depth=max_depth)
             per_pixel.append(path)
+            kinds.add(path.terminal_kind)
             sums[pixel] += forward_pass(path, theta)
         paths.append(per_pixel)
     # image pixels are stored float32, so the cost quantizes the means first
@@ -52,16 +71,19 @@ def _scalar_reference(scene, theta, spp, seed, target, max_depth=16):
         for path in paths[pixel]:
             forward_pass(path, theta)
             backward_pass(path, resid[pixel] / spp, theta, grad)
-    return mean32, cost, grad.as_array()
+    return mean32, cost, grad.as_array(), kinds
 
 
-def test_batch_matches_scalar_engine():
-    scene, theta = build_cornell_box(12, 12)
+@pytest.mark.parametrize("make_scene", [lambda: build_cornell_box(12, 12),
+                                        _open_scene], ids=["cornell", "open"])
+def test_batch_matches_scalar_engine(make_scene):
+    scene, theta = make_scene()
     spp, seed = 2, 9
     target = ScalarImage(12, 12, np.full((12, 12), 0.25, dtype=np.float32))
     out = trace_image(scene, theta, spp=spp, seed=seed, target=target,
                       compute_gradients=True)
-    mean32, cost, grad = _scalar_reference(scene, theta, spp, seed, target)
+    mean32, cost, grad, kinds = _scalar_reference(scene, theta, spp, seed, target)
+    assert (TerminalKind.ESCAPED in kinds) == (make_scene is _open_scene)
     # same draws, same paths; only summation association differs
     assert_allclose(out.image.data.reshape(-1).astype(np.float64), mean32,
                     rtol=1e-6, atol=1e-9)  # float32 storage on both sides
