@@ -4,9 +4,13 @@
 lockstep with numpy into a ``PathRecord`` and is draw-for-draw equivalent
 to the scalar engine in path_engine/make_path: every lane owns the same
 keyed counter stream, and draws advance only on lanes that would draw in
-the scalar code.  ``forward``/``backward`` sweep a record with the
-per-vertex rules of materials.py; validation replays frozen scalar paths
-through them too.  Tests assert the equivalence with the scalar engine.
+the scalar code.  ``forward``/``backward`` sweep a record; validation
+replays frozen scalar paths through them too.  Tests assert the equivalence
+with the scalar engine.  Formulas on floats or arrays live once and are
+called by both engines: the streams and the lobe height in sampling, the
+per-vertex rules, roulette weight and emitter radiance in materials.  Only
+the Vec3 geometry (intersection, frames, lobe directions) stays twinned
+here on (N, 3) arrays; geometry says why.
 
 Parallelism splits the pixel range into per-worker chunks merged in chunk
 order, so per-pixel outputs never depend on the worker count and reductions
@@ -22,29 +26,11 @@ import numpy as np
 
 from .geometry import (FRAME_DEGENERATE_EPS, FRAME_HELPER,
                        FRAME_HELPER_FALLBACK, Sphere, T_MIN)
-from .materials import (LobeTag, MaterialKind, N_CONTROLS, Q_LOBE,
-                        emission_partial, throughput, throughput_partials)
-from .sampling import _GOLDEN, _MASK64, _MIX1, _MIX2
-
-_U64 = np.uint64
-_GOLD_U = _U64(_GOLDEN)
-_MIX1_U = _U64(_MIX1)
-_MIX2_U = _U64(_MIX2)
+from .materials import (LobeTag, MaterialKind, N_CONTROLS, Q_LOBE, emission_partial,
+                        emitter_radiance, roulette_weight, throughput, throughput_partials)
+from .sampling import lobe_t, stream_key, uniform
 
 _BINDINGS = ("emission", "ambient", "diffuse", "specular", "exponent")
-
-
-def _mix64(z):
-    z = (z ^ (z >> _U64(30))) * _MIX1_U
-    z = (z ^ (z >> _U64(27))) * _MIX2_U
-    return z ^ (z >> _U64(31))
-
-
-def _stream_keys(seed, pixel, sample):
-    h = _mix64(_U64((seed ^ _GOLDEN) & _MASK64) * np.ones_like(pixel))
-    h = _mix64(h ^ pixel)
-    h = _mix64(h ^ sample)
-    return h
 
 
 @dataclass
@@ -61,16 +47,27 @@ class MaterialTable:
 
 
 def material_table(materials, theta):
+    """Resolve every material at theta, for all lanes of every sweep.
+
+    Raises ValueError when a binding resolves to a non-finite value or an
+    exponent to a negative one, whichever lanes would have sampled it.
+    """
     def per_material(f, dtype=np.float64):
         return np.array([f(m) for m in materials], dtype=dtype)
 
+    value = {n: per_material(lambda m: getattr(m, n).resolve(theta)) for n in _BINDINGS}
+    for name, v in value.items():
+        bad = ~np.isfinite(v) | ((v < 0.0) & (name == "exponent"))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            need = "finite and >= 0" if name == "exponent" else "finite"
+            raise ValueError(f"material {materials[i].name!r}: {name} must be {need}, "
+                             f"got {v[i]}")
     absorb = per_material(lambda m: m.absorb)
     return MaterialTable(
         materials=list(materials), kind=per_material(lambda m: m.kind, np.int64),
-        absorb=absorb,
-        weight=np.where(absorb < 1.0, 1.0 / (1.0 - np.where(absorb < 1.0, absorb, 0.0)), 0.0),
-        base_emission=per_material(lambda m: m.base_emission),
-        value={n: per_material(lambda m: getattr(m, n).resolve(theta)) for n in _BINDINGS},
+        absorb=absorb, weight=roulette_weight(absorb),
+        base_emission=per_material(lambda m: m.base_emission), value=value,
         control={n: per_material(lambda m: (getattr(m, n).control or 0) - 1, np.int64)
                  for n in _BINDINGS})
 
@@ -139,18 +136,15 @@ def _cross(a, b):
 
 
 class _Lanes:
-    """Per-lane RNG state; draw() advances counters only where mask is set."""
+    """Per-lane stream keys and counters; draw() advances only where mask is set."""
 
     def __init__(self, seed, pixels, samples):
-        self.key = _stream_keys(seed, pixels.astype(np.uint64),
-                                samples.astype(np.uint64))
+        self.key = stream_key(seed, pixels.astype(np.uint64), samples.astype(np.uint64))
         self.counter = np.zeros(pixels.shape, dtype=np.uint64)
 
     def draw(self, mask):
         self.counter = self.counter + mask.astype(np.uint64)
-        z = self.key + self.counter * _GOLD_U
-        bits = _mix64(z)
-        return (bits >> _U64(11)).astype(np.float64) * 2.0**-53
+        return uniform(self.key, self.counter)
 
 
 def _make_frames(normal):
@@ -274,7 +268,7 @@ def trace_lanes(prims, cam, mats, seed, pix, smp, max_depth):
 
         fx, fy, fz = _make_frames(normal)
         alpha = np.where(specular, mats.value["exponent"][np.where(specular, mat, 0)], 0.0)
-        t_pow = np.where(surviving, u1, 0.25) ** (2.0 / (alpha + 2.0))
+        t_pow = lobe_t(alpha, np.where(surviving, u1, 0.25))
         zloc = np.sqrt(t_pow)
         rloc = np.sqrt(1.0 - t_pow)
         phi = 2.0 * np.pi * u2
@@ -330,14 +324,15 @@ def forward(record, mats):
     """Camera radiance per lane, plus the cache ``backward`` needs.
 
     Sweeps each path terminal -> camera like path_engine.forward_pass: an
-    emitter terminal starts at emission / absorb, then every continuation
+    emitter terminal starts at its emitter radiance, then every continuation
     vertex applies  L <- ambient + throughput * L * weight.
     """
     depth, n_lanes = record.v_mat.shape
     radiance = np.zeros(n_lanes)
     em = np.flatnonzero(record.term_mat >= 0)
     m = record.term_mat[em]
-    radiance[em] = mats.value["emission"][m] * mats.base_emission[m] / mats.absorb[m]
+    radiance[em] = emitter_radiance(mats.value["emission"][m], mats.base_emission[m],
+                                    mats.absorb[m])
     cache = SweepCache(mats, [None] * depth, [None] * depth, [None] * depth)
     for d in range(depth - 1, -1, -1):
         lanes = np.flatnonzero(record.n_cont > d)
@@ -445,7 +440,6 @@ def trace(scene, theta, spp, seed, target_rows, want_grad, threads, max_depth,
     all_pixels = np.arange(npix, dtype=np.int64)
     targets_flat = target_rows.reshape(-1) if target_rows is not None else None
 
-    threads = max(1, int(threads))
     n_chunks = min(threads, npix)
     bounds = [(npix * i) // n_chunks for i in range(n_chunks + 1)]
     jobs = []

@@ -228,7 +228,7 @@ def fd_gradient_oracle(problem, theta, eps=1e-5, tol=DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 # generators used by the self-check CLI and the test suite
 
-def random_operator(rng, dim, rho, weights=None):
+def random_operator(rng, dim, rho):
     """Random dense operator rescaled to the requested spectral radius."""
     m = rng.standard_normal((dim, dim))
     r = float(np.max(np.abs(np.linalg.eigvals(m))))

@@ -68,9 +68,9 @@ def _load_scene(scene_path, cornell, width, height, theta_text):
 def _common_options(fn):
     fn = click.option("--cornell", is_flag=True,
                       help="Use the built-in box scene.")(fn)
-    fn = click.option("--width", type=int, default=None,
+    fn = click.option("--width", type=click.IntRange(min=1), default=None,
                       help="Override image width.")(fn)
-    fn = click.option("--height", type=int, default=None,
+    fn = click.option("--height", type=click.IntRange(min=1), default=None,
                       help="Override image height.")(fn)
     fn = click.option("--spp", type=click.IntRange(min=1), default=16,
                       show_default=True, help="Samples per pixel.")(fn)
@@ -79,8 +79,8 @@ def _common_options(fn):
     fn = click.option("--max-depth", type=click.IntRange(min=1),
                       default=DEFAULT_MAX_DEPTH, show_default=True,
                       help="Path length cap.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker processes for pixel chunks.")(fn)
+    fn = click.option("--threads", type=click.IntRange(min=1), default=1,
+                      show_default=True, help="Worker processes for pixel chunks.")(fn)
     fn = click.option("--theta", "theta_text", type=str, default=None,
                       help="Override the 7 controls, comma separated.")(fn)
     return fn
@@ -198,7 +198,7 @@ def validate(scene_path, cornell, width, height, spp, seed, max_depth,
               help="Render the target from these controls instead (same seed).")
 @click.option("--lr", type=float, default=4e-5, show_default=True,
               help="Learning rate.")
-@click.option("--iterations", type=int, default=100, show_default=True)
+@click.option("--iterations", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--reg", type=float, default=0.0, show_default=True,
               help="Tikhonov regularization weight.")
 @click.option("--free", "free_text", type=str, default=None,

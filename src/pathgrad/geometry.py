@@ -3,7 +3,10 @@
 Everything here is plain float math on small objects.  It is the scalar
 reference for the batched tracer in ``_wavefront``, which evaluates the same
 intersection and frame formulas on numpy arrays; tests hold the two to the
-same paths, draw for draw.
+same paths, draw for draw.  These formulas stay twinned on purpose, unlike
+the float-or-array ones in sampling and materials: the reference must stay
+independent of the code it checks, and Vec3 math on numpy scalars would
+slow the scalar freeze of validation lattices, most of a `validate` run.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ scalar controls:
 ``throughput`` is the full throughput of a sampled bounce, BSDF times
 cosine over the sampling PDF, including the lobe-selection weight, so the
 forward radiance recursion is simply  L_out = ambient + throughput * L_in
-(times the roulette weight applied by the sweeps).  ``throughput_partials``
-and ``emission_partial`` are its exact partial derivatives and those of the
-emitted radiance, which is what makes adjoint and finite-difference results
+(times ``roulette_weight``), starting from ``emitter_radiance`` on a light.
+``throughput_partials`` and ``emission_partial`` are their exact partial
+derivatives, which is what makes adjoint and finite-difference results
 agree to machine precision on a frozen path.  Every rule takes floats or
 per-lane arrays, so the scalar reference and the vectorized sweeps in
 ``_wavefront`` run the same code; enum values are the codes lanes store.
@@ -177,10 +177,11 @@ class Material:
 
 
 def emitted(material, theta):
-    """Emitted radiance: emission control times the fixed base emission."""
+    """Radiance a path ending on this emitter starts from (``emitter_radiance``)."""
     if material.kind is not MaterialKind.EMITTER:
         raise ValueError(f"emitted() called on non-emitter material {material.name!r}")
-    return material.emission.resolve(theta) * material.base_emission
+    return emitter_radiance(material.emission.resolve(theta),
+                            material.base_emission, material.absorb)
 
 
 def ambient_of(material, theta):
@@ -248,8 +249,18 @@ def throughput_partials(tag, specular, exponent, u1, radiance, adjoint):
     return ()
 
 
+def roulette_weight(absorb):
+    """Roulette survivor weight 1 / (1 - absorb); 0 for emitters (absorb = 1)."""
+    return np.where(absorb < 1.0, 1.0 / (1.0 - np.where(absorb < 1.0, absorb, 0.0)), 0.0)[()]
+
+
+def emitter_radiance(emission, base_emission, absorb):
+    """Radiance a path ending on an emitter starts from, roulette-weighted."""
+    return emission * base_emission / absorb
+
+
 def emission_partial(base_emission, absorb, adjoint):
-    """d(emission * base_emission / absorb) / d emission * adjoint."""
+    """d emitter_radiance / d emission * adjoint."""
     return base_emission * adjoint / absorb
 
 

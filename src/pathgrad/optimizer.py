@@ -4,8 +4,8 @@ Each iteration renders the scene with a fixed seed, differentiates the
 image cost against a target via the backward pass, adds an optional
 Tikhonov term, takes a steepest-descent step, and clamps the result to
 per-control bounds.  Freezing a control is expressed by giving it equal
-lower and upper bounds.  Non-finite costs or gradients abort the run with
-DivergenceError rather than silently continuing.
+lower and upper bounds.  Non-finite costs, gradients or stepped controls
+abort the run with DivergenceError rather than silently continuing.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .path_engine import DEFAULT_MAX_DEPTH, trace_image
 DEFAULT_LOWER = (0.0,) * N_CONTROLS
 # cosine-lobe exponents beyond this sample so tightly the estimator is useless
 DEFAULT_UPPER = (math.inf, math.inf, math.inf, math.inf, 1e3, math.inf, math.inf)
+# a run stops early once the cost or the gradient norm falls to these
+COST_TOL = 1e-12
+GRAD_TOL = 1e-9
 
 
 class DivergenceError(RuntimeError):
@@ -36,8 +39,6 @@ class OptimConfig:
     seed: int = 42
     max_depth: int = DEFAULT_MAX_DEPTH
     threads: int = 1
-    grad_tol: float = 1e-9
-    cost_tol: float = 1e-12
     lower: tuple = DEFAULT_LOWER
     upper: tuple = DEFAULT_UPPER
 
@@ -128,15 +129,17 @@ def optimize(scene, theta0, target, config=None, callback=None):
                                               theta.values))
         if callback is not None:
             callback(trajectory.records[-1])
-        if cost <= config.cost_tol:
+        if cost <= COST_TOL:
             trajectory.converged = True
             trajectory.reason = f"cost {cost:.3e} below tolerance"
             break
-        if gnorm <= config.grad_tol:
+        if gnorm <= GRAD_TOL:
             trajectory.converged = True
             trajectory.reason = f"gradient norm {gnorm:.3e} below tolerance"
             break
         if it == config.n_iterations:
             break
         theta = gd_step(theta, grad, config)
+        if not np.all(np.isfinite(theta.as_array())):
+            raise DivergenceError(f"step {it} left non-finite controls {theta.values!r}")
     return trajectory

@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import Hit, Ray, intersect_scene
 from .materials import (GradientVector, LobeTag, Material, MaterialKind,
                         accumulate_gradients, ambient_of, bsdf_d_pdf, emitted,
-                        sample_direction)
+                        roulette_weight, sample_direction)
 from .sampling import RngStream
 from .scene_io import ScalarImage
 
@@ -64,6 +64,12 @@ class Path:
         return n - 1 if n else 0
 
 
+def _check_at_least_one(**counts):
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def make_path(primary_ray, scene, theta, rng, max_depth=DEFAULT_MAX_DEPTH):
     """Trace a full light path starting at ``primary_ray``.
 
@@ -72,6 +78,7 @@ def make_path(primary_ray, scene, theta, rng, max_depth=DEFAULT_MAX_DEPTH):
     only roulette; it never samples a continuation, so every non-escaped
     path ends with a vertex that has no outgoing direction.
     """
+    _check_at_least_one(max_depth=max_depth)
     vertices = []
     ray = primary_ray
     while True:
@@ -100,21 +107,20 @@ def make_path(primary_ray, scene, theta, rng, max_depth=DEFAULT_MAX_DEPTH):
 def forward_pass(path, theta):
     """Radiance arriving at the camera along the frozen path.
 
-    Terminal radiance is emission / absorb on an emitter and zero otherwise;
-    each continuation vertex k then applies
-        L <- ambient_k + throughput_k * L / (1 - absorb_k)
+    Terminal radiance is the emitter radiance on an emitter and zero
+    otherwise; each continuation vertex k then applies
+        L <- ambient_k + throughput_k * L * roulette_weight(absorb_k)
     while recording the pre-update L as its stored downstream radiance.
     """
     n_cont = path.continuation_count
     if path.terminal_kind is TerminalKind.EMITTER:
-        terminal = path.vertices[-1]
-        radiance = emitted(terminal.material, theta) / terminal.material.absorb
+        radiance = emitted(path.vertices[-1].material, theta)
     else:
         radiance = 0.0
     for k in range(n_cont - 1, -1, -1):
         v = path.vertices[k]
         v.stored_radiance = radiance
-        w = 1.0 / (1.0 - v.material.absorb)
+        w = roulette_weight(v.material.absorb)
         f = bsdf_d_pdf(v.material, v.hit.normal, v.dir_in, v.dir_out, v.tag, v.u1, theta)
         radiance = ambient_of(v.material, theta) + f * radiance * w
     return radiance
@@ -133,7 +139,7 @@ def backward_pass(path, adjoint_seed, theta, grad=None):
     p = adjoint_seed
     for k in range(path.continuation_count):
         v = path.vertices[k]
-        w = 1.0 / (1.0 - v.material.absorb)
+        w = roulette_weight(v.material.absorb)
         accumulate_gradients(v.material, v.hit.normal, v.dir_in, v.dir_out,
                              v.tag, v.u1, v.stored_radiance * w, p, theta, grad)
         f = bsdf_d_pdf(v.material, v.hit.normal, v.dir_in, v.dir_out, v.tag, v.u1, theta)
@@ -183,9 +189,12 @@ def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
     adjoint (mean - target) / spp, the exact derivative of that cost with
     respect to the sample's radiance.  Outputs are bit-stable for a fixed
     worker count; per-pixel values do not depend on the worker count at all.
+    Raises ValueError for spp, max_depth or threads below 1, a target with
+    non-finite pixels, or controls outside the domain material_table accepts.
     """
     from . import _wavefront
 
+    _check_at_least_one(spp=spp, max_depth=max_depth, threads=threads)
     cam = scene.camera
     if compute_gradients:
         if target is None:
@@ -195,6 +204,8 @@ def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
                 f"target resolution {target.width}x{target.height} does not match "
                 f"camera resolution {cam.width}x{cam.height}")
         target_rows = target.data.astype(np.float64)
+        if not np.all(np.isfinite(target_rows)):
+            raise ValueError("target image has non-finite pixels")
     else:
         target_rows = None
 

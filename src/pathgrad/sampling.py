@@ -4,14 +4,17 @@ The random streams are keyed by (global_seed, pixel_index, sample_index) and
 advance a 64-bit counter through a splitmix64 finalizer, so any draw is a pure
 function of (key, counter).  That buys three things: runs are bit-identical
 regardless of scheduling, any path can be replayed exactly from its key, and
-the batched tracer can reproduce the same streams with vectorized uint64 math.
+the batched tracer draws the very same streams: ``stream_key`` and ``uniform``
+take ints or uint64 lane arrays, whose products wrap like the 64-bit masks.
 
 Direction sampling uses the closed-form inverse of the cosine-power CDF
     pdf(theta)  = (alpha + 2) / (2 pi) * cos(theta)^(alpha + 1)
     cdf(theta)  = 1 - cos(theta)^(alpha + 2)
-drawn directly in Cartesian form: with t = u1^(2 / (alpha + 2)) the sampled
-direction has frame-local height z = sqrt(t) and tangential radius
-sqrt(1 - t).  alpha = 0 is the Lambert (cosine) lobe.
+drawn directly in Cartesian form: with t = lobe_t(alpha, u1) = u1^(2 / (alpha + 2))
+the sampled direction has frame-local height z = sqrt(t) and tangential radius
+sqrt(1 - t).  alpha = 0 is the Lambert (cosine) lobe.  ``lobe_t``, ``sin_m_of``
+and ``dsin_dalpha`` take floats or per-lane arrays and are shared with
+``_wavefront``; the Vec3 directions built from t stay twinned (see geometry).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ SIN_CLAMP = 1e-6
 
 
 def _mix64(z):
-    """splitmix64 finalizer on a 64-bit integer."""
+    """splitmix64 finalizer on a 64-bit int or a uint64 array."""
     z = (z ^ (z >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
@@ -48,8 +51,13 @@ def stream_key(global_seed, pixel_index, sample_index):
     return h
 
 
+def uniform(key, counter):
+    """Draw ``counter`` of stream ``key``: 53 bits of _mix64(key + counter * golden)."""
+    return (_mix64((key + counter * _GOLDEN) & _MASK64) >> 11) * 2.0**-53
+
+
 class RngStream:
-    """Deterministic uniform stream: draw i is _mix64(key + i * golden)."""
+    """Deterministic uniform stream: draw i is uniform(key, i), i = 1, 2, ..."""
 
     __slots__ = ("key", "counter")
 
@@ -64,8 +72,7 @@ class RngStream:
     def next(self):
         """Uniform double in [0, 1) with 53 random bits; advances the stream."""
         self.counter += 1
-        z = (self.key + self.counter * _GOLDEN) & _MASK64
-        return (_mix64(z) >> 11) * 2.0**-53
+        return uniform(self.key, self.counter)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,11 +93,16 @@ def cdf_inverse_phong(alpha, u):
     return math.acos((1.0 - u) ** (1.0 / (alpha + 2.0)))
 
 
+def lobe_t(alpha, u1):
+    """Squared height (cos^2 of the polar angle) of the lobe sample drawn from u1."""
+    return u1 ** (2.0 / (alpha + 2.0))
+
+
 def sample_cosine_lobe(frame, alpha, u1, u2):
     """Direction on the cosine-power lobe around frame.z_axis."""
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    t = u1 ** (2.0 / (alpha + 2.0))
+    t = lobe_t(alpha, u1)
     z = math.sqrt(t)
     r = math.sqrt(1.0 - t)
     phi = 2.0 * math.pi * u2
@@ -130,7 +142,7 @@ def sin_m_of(alpha, u1):
     Takes floats or per-lane arrays.
     """
     _check_lobe_args(alpha, u1)
-    return np.sqrt(np.maximum(0.0, 1.0 - u1 ** (2.0 / (alpha + 2.0))))
+    return np.sqrt(np.maximum(0.0, 1.0 - lobe_t(alpha, u1)))
 
 
 def dsin_dalpha(alpha, u1):

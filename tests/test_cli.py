@@ -67,10 +67,35 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
     ["render", "--cornell", "--max-depth", "-3"],
     ["dump-path", "--cornell", "--max-depth", "0"],
     ["no-such-command"],
+    ["render", "--cornell", "--width", "0"],       # empty raster
+    ["render", "--cornell", "--height", "0"],
+    ["render", "--cornell", "--threads", "0"],     # no worker
+    ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
+     "--iterations", "-1"],                        # no iterate
 ])
 def test_usage_errors_exit_one(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--cornell", "--width", "8", "--height", "8", "--spp", "1",
+     "--theta", "nan,.1,.6,.4,20,.1,.7"],          # was an all-NaN image
+    ["render", "--cornell", "--width", "2", "--height", "2", "--spp", "1",
+     "--theta", "1,.1,.6,.4,-1,.1,.7"],            # no lane samples the lobe here
+    ["gradients", *CORNELL_SMALL, "--target", "nan.pfm"],
+])
+def test_domain_errors_exit_one_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    data = np.zeros((8, 8), dtype=np.float32)
+    data[3, 3] = np.nan
+    (tmp_path / "nan.pfm").write_bytes(write_pfm(ScalarImage(8, 8, data)))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not (tmp_path / "render.pfm").exists()
 
 
 def test_render_rejects_scene_plus_cornell(tmp_path):
@@ -180,6 +205,14 @@ def test_optimize_divergence_exits_three(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["optimize", *CORNELL_SMALL, "--target", str(target),
                      "--lr", "1.0", "--iterations", "5"])
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
+
+
+def test_optimize_non_finite_step_exits_three(capsys):
+    # a step to non-finite controls is a divergence, not a bad-theta input
+    code = main(["optimize", *CORNELL_SMALL, "--target-theta", "1,1,1,1,1,1,1",
+                 "--lr", "nan", "--iterations", "2"])
     assert code == 3
     assert "diverged" in capsys.readouterr().err
 

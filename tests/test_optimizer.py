@@ -114,6 +114,16 @@ def test_divergence_raises():
             optimize(scene, theta, target, cfg)
 
 
+def test_non_finite_step_raises_divergence():
+    # the sweeps reject non-finite controls as bad input; a step that makes
+    # them is a divergence of the run instead
+    scene, theta = build_cornell_box(4, 4)
+    target = ScalarImage.zeros(4, 4)
+    cfg = OptimConfig(learning_rate=math.nan, n_iterations=3, spp=1, seed=1)
+    with pytest.raises(DivergenceError, match="non-finite"):
+        optimize(scene, theta, target, cfg)
+
+
 def test_initial_point_is_projected():
     scene, theta = build_cornell_box(8, 8)
     target = trace_image(scene, theta, spp=1, seed=2).image

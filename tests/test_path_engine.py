@@ -271,6 +271,16 @@ def test_trace_pixel_sample_replays_identically():
     assert forward_pass(a, theta) == forward_pass(b, theta)
 
 
+def test_depth_below_one_raises():
+    # a path has at least one vertex; the image API rejects depth 0 alike
+    scene, theta = build_cornell_box(4, 4)
+    with pytest.raises(ValueError, match="max_depth must be >= 1"):
+        trace_pixel_sample(scene, theta, 5, 0, seed=1, max_depth=0)
+    with pytest.raises(ValueError, match="max_depth must be >= 1"):
+        make_path(Ray(Vec3(0, 0, 1), Vec3(0, 0, -1.0)),
+                  _mini_scene([], [_floor()]), ONES, ScriptedStream([]), max_depth=0)
+
+
 def test_trace_pixel_sample_decorrelates_across_samples():
     scene, theta = build_cornell_box(32, 32)
     pixel = 32 * 16 + 16

@@ -4,11 +4,10 @@ import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
-from pathgrad import _wavefront
 from pathgrad.materials import GradientVector, N_CONTROLS
 from pathgrad.path_engine import (TerminalKind, backward_pass, forward_pass,
                                   trace_image, trace_pixel_sample)
-from pathgrad.sampling import _MASK64, _mix64, stream_key
+from pathgrad.sampling import _MASK64, _mix64, stream_key, uniform
 from pathgrad.scene_io import ScalarImage, build_cornell_box, parse_scene
 
 # sphere, floor and lamp under an open sky: many lanes escape
@@ -30,10 +29,12 @@ def _open_scene():
 
 
 def test_mix64_vector_matches_scalar():
+    # the one splitmix64 implementation wraps uint64 lanes like 64-bit ints
     values = [0, 1, 2, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1, 42]
     rng = np.random.default_rng(5)
     values += [int(v) for v in rng.integers(0, 2**63, size=50)]
-    batch = _wavefront._mix64(np.array(values, dtype=np.uint64))
+    batch = _mix64(np.array(values, dtype=np.uint64))
+    assert batch.dtype == np.uint64
     for v, got in zip(values, batch):
         assert int(got) == _mix64(v & _MASK64)
 
@@ -41,9 +42,14 @@ def test_mix64_vector_matches_scalar():
 def test_stream_keys_match_scalar():
     pixels = np.array([0, 1, 17, 255, 65535], dtype=np.uint64)
     samples = np.array([0, 3, 1, 0, 7], dtype=np.uint64)
-    keys = _wavefront._stream_keys(42, pixels, samples)
+    keys = stream_key(42, pixels, samples)
+    assert keys.dtype == np.uint64
     for p, s, got in zip(pixels, samples, keys):
         assert int(got) == stream_key(42, int(p), int(s))
+    counters = np.array([1, 2, 9, 1, 2**40], dtype=np.uint64)
+    draws = uniform(keys, counters)
+    for k, c, got in zip(keys, counters, draws):
+        assert got == uniform(int(k), int(c))
 
 
 def _scalar_reference(scene, theta, spp, seed, target, max_depth=16):
@@ -142,6 +148,27 @@ def test_trace_image_target_validation():
     with pytest.raises(ValueError, match="does not match"):
         trace_image(scene, theta, spp=1, seed=0,
                     target=ScalarImage.zeros(4, 4), compute_gradients=True)
+    data = np.zeros((8, 8), dtype=np.float32)
+    data[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        trace_image(scene, theta, spp=1, seed=0, target=ScalarImage(8, 8, data),
+                    compute_gradients=True)
+
+
+@pytest.mark.parametrize("name, value", [("spp", 0), ("spp", -2), ("max_depth", 0),
+                                         ("threads", 0)])
+def test_trace_image_rejects_counts_below_one(name, value):
+    scene, theta = build_cornell_box(4, 4)
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+        trace_image(scene, theta, **{"spp": 1, "seed": 0, name: value})
+
+
+@pytest.mark.parametrize("control, value", [(1, np.nan), (7, np.inf), (5, -1.0)])
+def test_trace_image_rejects_theta_outside_domain(control, value):
+    # rejected whether or not a lane samples the bad binding (2x2x1: few do)
+    scene, theta = build_cornell_box(2, 2)
+    with pytest.raises(ValueError, match="must be finite"):
+        trace_image(scene, theta.with_control(control, value), spp=1, seed=0)
 
 
 def test_mean_depth_and_outputs_sane():
