@@ -15,6 +15,7 @@ built-in box.  Exit codes: 0 success / check passed, 1 bad input,
 
 from __future__ import annotations
 
+import math
 import pathlib
 import sys
 import time
@@ -32,6 +33,16 @@ from .scene_io import (ScalarImage, SceneError, build_cornell_box,
                        write_pfm, write_ppm_preview)
 from .validation import (EPS_LADDER, build_lattice_ensemble,
                          build_single_path_ensemble, compare_gradients)
+
+
+class _FiniteRange(click.FloatRange):
+    """A FloatRange that also rejects nan and +-inf (FloatRange lets nan through)."""
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return x
 
 
 def _parse_theta_option(text):
@@ -157,11 +168,12 @@ def gradients(scene_path, cornell, width, height, spp, seed, max_depth,
 @cli.command()
 @click.argument("scene_path", required=False, type=click.Path(exists=True))
 @_common_options
-@click.option("--grid", type=int, default=8, show_default=True,
+@click.option("--grid", type=click.IntRange(min=1), default=8, show_default=True,
               help="Frozen ensemble is grid x grid paths (default 64 total).")
 @click.option("--single-path", is_flag=True,
               help="Freeze only the center-pixel path.")
-@click.option("--eps", "eps_values", type=float, multiple=True,
+@click.option("--eps", "eps_values", type=_FiniteRange(min=0.0, min_open=True),
+              multiple=True,
               help="Step sizes (repeatable); default ladder "
                    "1e-1, 1e-4, 1e-7, 1e-10.")
 @click.option("--control", "controls", type=int, multiple=True,
@@ -196,10 +208,10 @@ def validate(scene_path, cornell, width, height, spp, seed, max_depth,
               default=None, help="Target PFM to match.")
 @click.option("--target-theta", type=str, default=None,
               help="Render the target from these controls instead (same seed).")
-@click.option("--lr", type=float, default=4e-5, show_default=True,
+@click.option("--lr", type=_FiniteRange(), default=4e-5, show_default=True,
               help="Learning rate.")
 @click.option("--iterations", type=click.IntRange(min=0), default=100, show_default=True)
-@click.option("--reg", type=float, default=0.0, show_default=True,
+@click.option("--reg", type=_FiniteRange(), default=0.0, show_default=True,
               help="Tikhonov regularization weight.")
 @click.option("--free", "free_text", type=str, default=None,
               help="Comma list of controls to optimize; others stay frozen.")
@@ -245,12 +257,13 @@ def optimize(scene_path, cornell, width, height, spp, seed, max_depth,
 
 
 @cli.command("adjoint-check")
-@click.option("--dim", type=int, default=24, show_default=True,
+@click.option("--dim", type=click.IntRange(min=1), default=24, show_default=True,
               help="State dimension of the random problems.")
-@click.option("--n-controls", type=int, default=5, show_default=True)
-@click.option("--trials", type=int, default=5, show_default=True)
+@click.option("--n-controls", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--rho", type=float, default=0.8, show_default=True,
+@click.option("--rho", type=_FiniteRange(min=0.0, max=1.0, max_open=True),
+              default=0.8, show_default=True,
               help="Target spectral radius of the transport operator.")
 @click.option("--inject-noncontractive", is_flag=True,
               help="Use an expanding operator to demonstrate the failure mode.")
@@ -279,10 +292,14 @@ def adjoint_check(dim, n_controls, trials, seed, rho, inject_noncontractive):
         op = problem.transport(theta)
         src = problem.source(theta)
         measure = alg.random_field(rng, dim, problem.weights)
-        i_fwd, i_bwd = alg.measurement_duality_check(op, src, measure)
+        try:
+            i_fwd, i_bwd = alg.measurement_duality_check(op, src, measure)
+            cost, grad = alg.adjoint_gradient(problem, theta)
+            fd = alg.fd_gradient_oracle(problem, theta)
+        except alg.ConvergenceError as exc:
+            click.echo(f"RESULT: FAIL (trial {trial}: {exc})")
+            sys.exit(2)
         dual_err = abs(i_fwd - i_bwd) / max(abs(i_fwd), abs(i_bwd), 1e-30)
-        cost, grad = alg.adjoint_gradient(problem, theta)
-        fd = alg.fd_gradient_oracle(problem, theta)
         grad_err = float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)))
         worst_dual = max(worst_dual, dual_err)
         worst_grad = max(worst_grad, grad_err)
@@ -345,7 +362,11 @@ def main(argv=None):
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.ClickException as exc:
-        exc.show()
+        message = exc.format_message()
+        if "\n" in message:  # the help page a bare command shows (click >= 8.2)
+            exc.show()
+        else:
+            click.echo(f"error: {message}", err=True)
         return 1
     except SceneError as exc:
         click.echo(f"scene error: {exc}", err=True)

@@ -104,8 +104,9 @@ def project(values, config):
 
 
 def gd_step(theta, grad, config):
-    """One projected steepest-descent update."""
-    stepped = theta.as_array() - config.learning_rate * np.asarray(grad)
+    """One projected steepest-descent update; ``optimize`` checks it is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepped = theta.as_array() - config.learning_rate * np.asarray(grad)
     return ControlVector.from_array(project(stepped, config))
 
 

@@ -11,15 +11,21 @@ Scene grammar (one directive per line, ``#`` starts a comment):
     theta V1 V2 V3 V4 V5 V6 V7
 
 ``@K`` binds a parameter to control K (1..7); each control may be bound at
-most once per scene.  Images are single-channel float rasters written as
-grayscale PFM (32-bit little-endian, bottom row first) with 8-bit PPM
-previews.
+most once per scene.  Every number must be finite, quad edges must not be
+parallel, and a scene has one camera line and at most one theta line.  One
+field table (``_DIRECTIVES``, ``_MATERIAL_FIELDS``) drives both directions:
+``parse_scene`` reads each line by walking it and ``serialize_scene`` writes
+each object by walking it, so the two cannot drift apart.
+
+Images are single-channel float rasters written as grayscale PFM (32-bit
+little-endian, bottom row first) with 8-bit PPM previews.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,38 +111,91 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the grammar: one table read by parse_scene and written by serialize_scene
 
-def _parse_float(tok, line):
+def _number(tok, line, kind=float):
+    """The one reader of every number in scene text: finite values only."""
     try:
-        return float(tok)
+        x = kind(tok)
     except ValueError:
-        raise SceneSyntaxError(line, f"expected a number, got {tok!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise SceneSyntaxError(line, f"expected {noun}, got {tok!r}") from None
+    if not math.isfinite(x):
+        raise SceneSyntaxError(line, f"expected a finite number, got {tok!r}")
+    return x
 
 
-def _parse_int(tok, line):
-    try:
-        return int(tok)
-    except ValueError:
-        raise SceneSyntaxError(line, f"expected an integer, got {tok!r}") from None
+def _read_binding(toks):
+    tok = toks.take()
+    if not tok.startswith("@"):
+        return Binding.const(_number(tok, toks.line))
+    k = _number(tok[1:], toks.line, int)
+    if not 1 <= k <= N_CONTROLS:
+        raise SceneSemanticError(toks.line, f"control index {k} outside 1..{N_CONTROLS}")
+    if k in toks.bound:
+        raise SceneSemanticError(toks.line, f"control {k} bound more than once")
+    toks.bound.add(k)
+    return Binding.ctl(k)
 
 
-def _parse_binding(tok, line, bound):
-    if tok.startswith("@"):
-        k = _parse_int(tok[1:], line)
-        if not 1 <= k <= N_CONTROLS:
-            raise SceneSemanticError(line, f"control index {k} outside 1..{N_CONTROLS}")
-        if k in bound:
-            raise SceneSemanticError(line, f"control {k} bound more than once")
-        bound.add(k)
-        return Binding.ctl(k)
-    return Binding.const(_parse_float(tok, line))
+def _fmt(x):
+    return repr(float(x))
+
+
+class _Kind(NamedTuple):
+    """How one field's value is read from tokens and written back."""
+
+    read: Callable   # (_Tokens) -> value
+    write: Callable  # (value, scene) -> list of tokens
+
+
+_FLOAT = _Kind(lambda t: t.number(), lambda x, s: [_fmt(x)])
+_INT = _Kind(lambda t: t.number(int), lambda n, s: [str(n)])
+_VEC3 = _Kind(lambda t: Vec3(t.number(), t.number(), t.number()),
+              lambda v, s: [_fmt(v.x), _fmt(v.y), _fmt(v.z)])
+_CONTROLS = _Kind(lambda t: tuple(t.number() for _ in range(N_CONTROLS)),
+                  lambda vals, s: [_fmt(x) for x in vals])
+_BINDING = _Kind(_read_binding, lambda b, s: [b.serialize()])
+# a primitive names its material; the object holds the material's index
+_MAT = _Kind(lambda t: t.take(), lambda i, s: [s.materials[i].name])
+
+# Directive -> (object type, fields in text order as (keyword, kind, attribute)).
+# A field without keyword follows the previous one directly.
+_DIRECTIVES = {
+    "camera": (Camera, (("eye", _VEC3, "eye"), ("look", _VEC3, "look"),
+                        ("up", _VEC3, "up"), ("fov", _FLOAT, "fov_deg"),
+                        ("res", _INT, "width"), (None, _INT, "height"))),
+    "material": (Material, ()),  # then NAME KIND and the kind's fields below
+    "quad": (Quad, (("p", _VEC3, "corner"), ("u", _VEC3, "edge_u"),
+                    ("v", _VEC3, "edge_v"), ("mat", _MAT, "material"))),
+    "sphere": (Sphere, (("c", _VEC3, "center"), ("r", _FLOAT, "radius"),
+                        ("mat", _MAT, "material"))),
+    "theta": (ControlVector, ((None, _CONTROLS, "values"),)),
+}
+_DIRECTIVE_OF = {cls: word for word, (cls, _) in _DIRECTIVES.items()}
+
+# Material kind (written as its lower-case name) -> fields after NAME KIND.
+_MATERIAL_FIELDS = {
+    MaterialKind.EMITTER: (("emission", _BINDING, "emission"),
+                           ("base", _FLOAT, "base_emission"),
+                           ("absorb", _FLOAT, "absorb")),
+    MaterialKind.PHONG: (("ambient", _BINDING, "ambient"),
+                         ("diffuse", _BINDING, "diffuse"),
+                         ("specular", _BINDING, "specular"),
+                         ("exponent", _BINDING, "exponent"),
+                         ("absorb", _FLOAT, "absorb")),
+    MaterialKind.LAMBERT: (("ambient", _BINDING, "ambient"),
+                           ("diffuse", _BINDING, "diffuse"),
+                           ("absorb", _FLOAT, "absorb")),
+}
+_KIND_OF_WORD = {kind.name.lower(): kind for kind in _MATERIAL_FIELDS}
 
 
 class _Tokens:
-    def __init__(self, tokens, line):
+    def __init__(self, tokens, line, bound):
         self.tokens = tokens
         self.line = line
+        self.bound = bound  # controls bound so far in the scene
         self.pos = 0
 
     def take(self):
@@ -146,20 +205,31 @@ class _Tokens:
         self.pos += 1
         return tok
 
-    def keyword(self, word):
-        tok = self.take()
-        if tok != word:
-            raise SceneSyntaxError(self.line, f"expected {word!r}, got {tok!r}")
+    def number(self, kind=float):
+        return _number(self.take(), self.line, kind)
 
-    def vec3(self):
-        return Vec3(_parse_float(self.take(), self.line),
-                    _parse_float(self.take(), self.line),
-                    _parse_float(self.take(), self.line))
-
-    def done(self):
+    def fields(self, table):
+        """Walk a field table: {attribute: value}, then the line must end."""
+        values = {}
+        for keyword, kind, attr in table:
+            if keyword is not None:
+                tok = self.take()
+                if tok != keyword:
+                    raise SceneSyntaxError(self.line, f"expected {keyword!r}, got {tok!r}")
+            values[attr] = kind.read(self)
         if self.pos != len(self.tokens):
             raise SceneSyntaxError(
                 self.line, f"trailing tokens: {' '.join(self.tokens[self.pos:])}")
+        return values
+
+
+def _write_fields(table, obj, scene):
+    out = []
+    for keyword, kind, attr in table:
+        if keyword is not None:
+            out.append(keyword)
+        out.extend(kind.write(getattr(obj, attr), scene))
+    return out
 
 
 def parse_scene(text):
@@ -177,158 +247,74 @@ def parse_scene(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = _Tokens(line.split(), lineno)
+        toks = _Tokens(line.split(), lineno, bound_controls)
         directive = toks.take()
+        if directive not in _DIRECTIVES:
+            raise SceneSyntaxError(lineno, f"unknown directive {directive!r}")
+        cls, table = _DIRECTIVES[directive]
 
-        if directive == "camera":
-            toks.keyword("eye")
-            eye = toks.vec3()
-            toks.keyword("look")
-            look = toks.vec3()
-            toks.keyword("up")
-            up = toks.vec3()
-            toks.keyword("fov")
-            fov = _parse_float(toks.take(), lineno)
-            toks.keyword("res")
-            w = _parse_int(toks.take(), lineno)
-            h = _parse_int(toks.take(), lineno)
-            toks.done()
-            try:
-                camera = Camera(eye, look, up, fov, w, h)
-            except ValueError as exc:
-                raise SceneSemanticError(lineno, str(exc)) from None
-
-        elif directive == "material":
+        if cls is Material:
             name = toks.take()
             if name in mat_index:
                 raise SceneSemanticError(lineno, f"duplicate material name {name!r}")
-            kind = toks.take()
-            if kind == "emitter":
-                toks.keyword("emission")
-                emission = _parse_binding(toks.take(), lineno, bound_controls)
-                toks.keyword("base")
-                base = _parse_float(toks.take(), lineno)
-                toks.keyword("absorb")
-                absorb = _parse_float(toks.take(), lineno)
-                toks.done()
-                if absorb != 1.0:
+            word = toks.take()
+            if word not in _KIND_OF_WORD:
+                raise SceneSyntaxError(lineno, f"unknown material kind {word!r}")
+            kind = _KIND_OF_WORD[word]
+            f = toks.fields(_MATERIAL_FIELDS[kind])
+            if kind is MaterialKind.EMITTER:
+                if f["absorb"] != 1.0:
                     raise SceneSemanticError(lineno, "emitter absorb must be 1.0")
-                mat = Material.emitter(name, emission, base)
-            elif kind == "phong":
-                toks.keyword("ambient")
-                ambient = _parse_binding(toks.take(), lineno, bound_controls)
-                toks.keyword("diffuse")
-                diffuse = _parse_binding(toks.take(), lineno, bound_controls)
-                toks.keyword("specular")
-                specular = _parse_binding(toks.take(), lineno, bound_controls)
-                toks.keyword("exponent")
-                exponent = _parse_binding(toks.take(), lineno, bound_controls)
-                toks.keyword("absorb")
-                absorb = _parse_float(toks.take(), lineno)
-                toks.done()
-                if not 0.0 < absorb < 1.0:
-                    raise SceneSemanticError(
-                        lineno, "reflective absorb must lie strictly in (0, 1)")
-                mat = Material.phong_blinn(name, ambient, diffuse, specular,
-                                           exponent, absorb)
-            elif kind == "lambert":
-                toks.keyword("ambient")
-                ambient = _parse_binding(toks.take(), lineno, bound_controls)
-                toks.keyword("diffuse")
-                diffuse = _parse_binding(toks.take(), lineno, bound_controls)
-                toks.keyword("absorb")
-                absorb = _parse_float(toks.take(), lineno)
-                toks.done()
-                if not 0.0 < absorb < 1.0:
-                    raise SceneSemanticError(
-                        lineno, "reflective absorb must lie strictly in (0, 1)")
-                mat = Material.lambert(name, ambient, diffuse, absorb)
-            else:
-                raise SceneSyntaxError(lineno, f"unknown material kind {kind!r}")
+            elif not 0.0 < f["absorb"] < 1.0:
+                raise SceneSemanticError(
+                    lineno, "reflective absorb must lie strictly in (0, 1)")
             mat_index[name] = len(materials)
-            materials.append(mat)
+            materials.append(Material(name=name, kind=kind, **f))
+            continue
 
-        elif directive == "quad":
-            toks.keyword("p")
-            p = toks.vec3()
-            toks.keyword("u")
-            u = toks.vec3()
-            toks.keyword("v")
-            v = toks.vec3()
-            toks.keyword("mat")
-            name = toks.take()
-            toks.done()
-            if name not in mat_index:
-                raise SceneSemanticError(lineno, f"undefined material {name!r}")
-            primitives.append(Quad(p, u, v, mat_index[name]))
-
-        elif directive == "sphere":
-            toks.keyword("c")
-            c = toks.vec3()
-            toks.keyword("r")
-            r = _parse_float(toks.take(), lineno)
-            toks.keyword("mat")
-            name = toks.take()
-            toks.done()
-            if r <= 0.0:
-                raise SceneSemanticError(lineno, f"sphere radius must be positive, got {r}")
-            if name not in mat_index:
-                raise SceneSemanticError(lineno, f"undefined material {name!r}")
-            primitives.append(Sphere(c, r, mat_index[name]))
-
-        elif directive == "theta":
-            vals = [_parse_float(toks.take(), lineno) for _ in range(N_CONTROLS)]
-            toks.done()
+        f = toks.fields(table)
+        if cls is Camera:
+            try:
+                cam = Camera(**f)
+            except ValueError as exc:
+                raise SceneSemanticError(lineno, str(exc)) from None
+            if camera is not None:
+                raise SceneSemanticError(lineno, "duplicate camera line")
+            camera = cam
+        elif cls is ControlVector:
             if theta is not None:
                 raise SceneSemanticError(lineno, "duplicate theta line")
-            theta = ControlVector(tuple(vals))
-
+            theta = ControlVector(**f)
         else:
-            raise SceneSyntaxError(lineno, f"unknown directive {directive!r}")
+            if cls is Sphere and f["radius"] <= 0.0:
+                raise SceneSemanticError(
+                    lineno, f"sphere radius must be positive, got {f['radius']}")
+            if cls is Quad and f["edge_u"].cross(f["edge_v"]).norm() == 0.0:
+                raise SceneSemanticError(lineno, "quad edges u and v are parallel")
+            if f["material"] not in mat_index:
+                raise SceneSemanticError(lineno, f"undefined material {f['material']!r}")
+            f["material"] = mat_index[f["material"]]
+            primitives.append(cls(**f))
 
     if camera is None:
         raise SceneSemanticError(max(n_lines, 1), "scene has no camera line")
     return Scene(camera, materials, primitives, theta)
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def serialize_scene(scene):
     """Canonical scene text; parse_scene(serialize_scene(s)) is equivalent."""
-    out = []
-    cam = scene.camera
-    out.append("camera eye {} {} {} look {} {} {} up {} {} {} fov {} res {} {}".format(
-        _fmt(cam.eye.x), _fmt(cam.eye.y), _fmt(cam.eye.z),
-        _fmt(cam.look.x), _fmt(cam.look.y), _fmt(cam.look.z),
-        _fmt(cam.up.x), _fmt(cam.up.y), _fmt(cam.up.z),
-        _fmt(cam.fov_deg), cam.width, cam.height))
-    for m in scene.materials:
-        if m.kind is MaterialKind.EMITTER:
-            out.append(f"material {m.name} emitter emission {m.emission.serialize()} "
-                       f"base {_fmt(m.base_emission)} absorb {_fmt(m.absorb)}")
-        elif m.kind is MaterialKind.PHONG:
-            out.append(f"material {m.name} phong ambient {m.ambient.serialize()} "
-                       f"diffuse {m.diffuse.serialize()} specular {m.specular.serialize()} "
-                       f"exponent {m.exponent.serialize()} absorb {_fmt(m.absorb)}")
-        else:
-            out.append(f"material {m.name} lambert ambient {m.ambient.serialize()} "
-                       f"diffuse {m.diffuse.serialize()} absorb {_fmt(m.absorb)}")
-    for prim in scene.primitives:
-        name = scene.materials[prim.material].name
-        if isinstance(prim, Sphere):
-            out.append(f"sphere c {_fmt(prim.center.x)} {_fmt(prim.center.y)} "
-                       f"{_fmt(prim.center.z)} r {_fmt(prim.radius)} mat {name}")
-        else:
-            out.append("quad p {} {} {} u {} {} {} v {} {} {} mat {}".format(
-                _fmt(prim.corner.x), _fmt(prim.corner.y), _fmt(prim.corner.z),
-                _fmt(prim.edge_u.x), _fmt(prim.edge_u.y), _fmt(prim.edge_u.z),
-                _fmt(prim.edge_v.x), _fmt(prim.edge_v.y), _fmt(prim.edge_v.z),
-                name))
+    objs = [scene.camera, *scene.materials, *scene.primitives]
     if scene.theta is not None:
-        out.append("theta " + " ".join(_fmt(v) for v in scene.theta.values))
-    return "\n".join(out) + "\n"
+        objs.append(scene.theta)
+    lines = []
+    for obj in objs:
+        words = [_DIRECTIVE_OF[type(obj)]]
+        table = _DIRECTIVES[words[0]][1]
+        if isinstance(obj, Material):
+            words += [obj.name, obj.kind.name.lower()]
+            table = _MATERIAL_FIELDS[obj.kind]
+        lines.append(" ".join(words + _write_fields(table, obj, scene)))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ radiance L0 = theta_d^(N-1) * theta_e * E with hand-computable derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,8 @@ def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
                            max_depth=DEFAULT_MAX_DEPTH, targets=None,
                            label="lattice"):
     """Freeze one camera path per cell of a grid x grid pixel lattice."""
+    if grid < 1:
+        raise ValueError(f"lattice grid must be at least 1, got {grid}")
     cam = scene.camera
     paths = []
     for j in range(grid):
@@ -129,6 +132,8 @@ def fd_gradient_frozen(ensemble, theta, control, eps):
     Returns (slope, cost_plus, cost_minus); the two one-sided costs are kept
     so callers can diagnose cancellation at very small steps.
     """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {eps}")
     base = theta.control(control)
     j_plus = ensemble_cost(ensemble, theta.with_control(control, base + eps))
     j_minus = ensemble_cost(ensemble, theta.with_control(control, base - eps))

@@ -72,10 +72,39 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
     ["render", "--cornell", "--threads", "0"],     # no worker
     ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
      "--iterations", "-1"],                        # no iterate
+    ["validate", "--cornell", "--grid", "0"],      # no frozen path
+    ["validate", "--cornell", "--grid", "-3"],
+    ["validate", "--cornell", "--eps", "0"],       # no difference step
+    ["validate", "--cornell", "--eps", "-1e-4"],
+    ["validate", "--cornell", "--eps", "nan"],
+    ["adjoint-check", "--dim", "0"],               # empty state
+    ["adjoint-check", "--n-controls", "0"],
+    ["adjoint-check", "--trials", "0"],            # checks nothing
+    ["adjoint-check", "--rho", "1"],               # not contractive
+    ["adjoint-check", "--rho", "nan"],
+    ["adjoint-check", "--rho", "-0.5"],
+    ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
+     "--lr", "nan"],                               # non-finite step size
+    ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
+     "--lr", "inf"],
+    ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
+     "--reg", "nan"],
+    ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
+     "--reg", "-inf"],
 ])
-def test_usage_errors_exit_one(argv, tmp_path, monkeypatch):
+def test_usage_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_bare_command_shows_help(capsys):
+    assert main([]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Usage: ") and "adjoint-check" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -96,6 +125,23 @@ def test_domain_errors_exit_one_with_one_line(argv, tmp_path, monkeypatch, capsy
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert not (tmp_path / "render.pfm").exists()
+
+
+@pytest.mark.parametrize("bad_line", [
+    "material lamp emitter emission 1 base nan absorb 1.0",  # was a NaN image
+    "quad p -1 -1 2 u 4 0 0 v 8 0 0 mat wall",                # parallel edges
+    "camera eye 0 0 0 look 0 0 1 up 0 1 0 fov 60 res 8 8",    # second camera
+])
+def test_unrenderable_scene_exits_one_with_one_line(bad_line, tmp_path, capsys):
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text(SCENE_TEXT + bad_line + "\n")
+    out = tmp_path / "r"
+    assert main(["render", str(scene_file), "--spp", "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith("scene error: line 7: ")
+    assert not (tmp_path / "r.pfm").exists()
 
 
 def test_render_rejects_scene_plus_cornell(tmp_path):
@@ -179,6 +225,16 @@ def test_adjoint_check_injected_divergence(capsys):
     assert "RESULT: FAIL (series diverged, as injected)" in stdout
 
 
+def test_adjoint_check_non_convergence_is_a_failed_check(capsys):
+    # contractive, but the series needs more terms than the solver allows
+    code = main(["adjoint-check", "--rho", "0.999", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 1
+    assert captured.out.startswith("RESULT: FAIL (trial 0: ")
+
+
 def test_optimize_recovers_control_and_writes_artifacts(tmp_path, capsys):
     csv = tmp_path / "traj.csv"
     out_scene = tmp_path / "fit.scene"
@@ -212,9 +268,11 @@ def test_optimize_divergence_exits_three(tmp_path, capsys):
 def test_optimize_non_finite_step_exits_three(capsys):
     # a step to non-finite controls is a divergence, not a bad-theta input
     code = main(["optimize", *CORNELL_SMALL, "--target-theta", "1,1,1,1,1,1,1",
-                 "--lr", "nan", "--iterations", "2"])
+                 "--lr", "1e308", "--iterations", "2"])
     assert code == 3
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("optimization diverged: ")
 
 
 def test_dump_path_prints_vertices(capsys):

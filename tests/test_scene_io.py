@@ -56,6 +56,17 @@ def test_parse_comments_and_blank_lines():
     ("# one\n# two\nmaterial m lambert ambient 0.1 diffuse q absorb 0.3", 3,
      SceneSyntaxError),
     ("material m velvet shine 1", 1, SceneSyntaxError),
+    # a number that cannot render is rejected where it is read
+    ("material lamp emitter emission 1 base nan absorb 1.0", 1, SceneSyntaxError),
+    ("material lamp emitter emission 1 base inf absorb 1.0", 1, SceneSyntaxError),
+    ("material m lambert ambient -inf diffuse 0.5 absorb 0.3", 1,
+     SceneSyntaxError),
+    ("# one\nsphere c 0 0 1 r nan mat ghost", 2, SceneSyntaxError),
+    ("sphere c 0 0 1 r inf mat ghost", 1, SceneSyntaxError),
+    ("quad p nan 0 0 u 1 0 0 v 0 1 0 mat ghost", 1, SceneSyntaxError),
+    ("theta nan 1 1 1 1 1 1", 1, SceneSyntaxError),
+    ("camera eye 0 0 0 look 0 0 1 up 0 1 0 fov nan res 4 4", 1,
+     SceneSyntaxError),
 ])
 def test_parse_syntax_errors_carry_line_numbers(text, line, err):
     with pytest.raises(err) as exc_info:
@@ -86,6 +97,11 @@ CAM = "camera eye 0 0 0 look 0 0 1 up 0 1 0 fov 60 res 2 2\n"
     (CAM + "quad p 0 0 0 u 1 0 0 v 0 1 0 mat ghost", "undefined material"),
     (CAM + "sphere c 0 0 0 r -2 mat ghost", "radius must be positive"),
     (CAM + "theta 1 1 1 1 1 1 1\ntheta 1 1 1 1 1 1 1", "duplicate theta"),
+    (CAM + "material m lambert ambient 0.1 diffuse 0.5 absorb 0.3\n"
+     "quad p 0 0 0 u 4 0 0 v 8 0 0 mat m", "edges u and v are parallel"),
+    (CAM + "material m lambert ambient 0.1 diffuse 0.5 absorb 0.3\n"
+     "quad p 0 0 0 u 0 0 0 v 0 1 0 mat m", "edges u and v are parallel"),
+    (CAM + CAM, "duplicate camera line"),
     ("material m lambert ambient 0.1 diffuse 0.5 absorb 0.3",
      "no camera"),
     (CAM + "camera eye 0 0 0 look 0 0 0 up 0 1 0 fov 60 res 2 2",
@@ -101,6 +117,12 @@ def test_parse_semantic_errors(text, phrase):
     with pytest.raises(SceneSemanticError) as exc_info:
         parse_scene(text)
     assert phrase in str(exc_info.value)
+
+
+def test_non_finite_number_message():
+    with pytest.raises(SceneSyntaxError) as exc_info:
+        parse_scene(CAM + "material lamp emitter emission 1 base nan absorb 1.0")
+    assert str(exc_info.value) == "line 2: expected a finite number, got 'nan'"
 
 
 def test_serialize_round_trip():

@@ -1,5 +1,7 @@
 """Frozen-ensemble finite-difference checks and the chain oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -146,6 +148,17 @@ def test_eps_ladder_error_ordering_on_chain():
     assert errs[1e-1] > errs[1e-4]
     assert errs[1e-4] <= REL_TOL
     assert set(errs) == set(EPS_LADDER)
+
+
+def test_lattice_and_fd_step_reject_empty_input():
+    scene, theta = build_cornell_box(4, 4)
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match="grid"):
+            build_lattice_ensemble(scene, theta, seed=1, grid=grid)
+    ensemble = build_lattice_ensemble(scene, theta, seed=1, grid=1)
+    for eps in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step"):
+            fd_gradient_frozen(ensemble, theta, 7, eps)
 
 
 def test_frozen_ensemble_validates_targets():
