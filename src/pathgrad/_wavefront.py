@@ -1,16 +1,18 @@
 """Vectorized tracer and the radiance/adjoint sweeps, used by trace_image.
 
-``trace_lanes`` traces all (pixel, sample) lanes of an image chunk in
-lockstep with numpy into a ``PathRecord`` and is draw-for-draw equivalent
-to the scalar engine in path_engine/make_path: every lane owns the same
-keyed counter stream, and draws advance only on lanes that would draw in
-the scalar code.  ``forward``/``backward`` sweep a record; validation
-replays frozen scalar paths through them too.  Tests assert the equivalence
-with the scalar engine.  Formulas on floats or arrays live once and are
-called by both engines: the streams and the lobe height in sampling, the
-per-vertex rules, roulette weight and emitter radiance in materials.  Only
-the Vec3 geometry (intersection, frames, lobe directions) stays twinned
-here on (N, 3) arrays; geometry says why.
+``trace_lanes`` traces all (pixel, sample) lanes of an image chunk with
+numpy into a ``PathRecord`` and is draw-for-draw equivalent to the scalar
+engine in path_engine/make_path: every lane owns the same keyed counter
+stream, and draws advance only on lanes that would draw in the scalar code.
+Each depth step gathers the in-flight lanes (path compaction, as in Laine,
+Karras & Aila, HPG 2013) and steps those alone, so ended lanes cost nothing.
+``forward``/``backward`` sweep a record; validation replays frozen scalar
+paths through them too.  Tests assert the equivalence with the scalar
+engine.  Formulas on floats or arrays live once and are called by both
+engines: the streams and the lobe height in sampling, the per-vertex rules,
+roulette weight and emitter radiance in materials.  Only the Vec3 geometry
+(intersection, frames, lobe directions) stays twinned here on (N, 3)
+arrays; geometry says why.
 
 Parallelism splits the pixel range into per-worker chunks merged in chunk
 order, so per-pixel outputs never depend on the worker count and reductions
@@ -135,18 +137,6 @@ def _cross(a, b):
     return out
 
 
-class _Lanes:
-    """Per-lane stream keys and counters; draw() advances only where mask is set."""
-
-    def __init__(self, seed, pixels, samples):
-        self.key = stream_key(seed, pixels.astype(np.uint64), samples.astype(np.uint64))
-        self.counter = np.zeros(pixels.shape, dtype=np.uint64)
-
-    def draw(self, mask):
-        self.counter = self.counter + mask.astype(np.uint64)
-        return uniform(self.key, self.counter)
-
-
 def _make_frames(normal):
     """Vectorized twin of geometry.make_frame."""
     z = normal
@@ -159,25 +149,65 @@ def _make_frames(normal):
         c2 = _cross(z[degenerate], z[degenerate] + helper2[None, :])
         c[degenerate] = c2
         cn[degenerate] = np.sqrt(_dot(c2, c2))
-    # dead lanes carry zero normals; give them a harmless unit divisor
-    y = c / np.where(cn > 0.0, cn, 1.0)[:, None]
+    y = c / cn[:, None]
     x = _cross(y, z)
-    xn = np.sqrt(_dot(x, x))
-    x = x / np.where(xn > 0.0, xn, 1.0)[:, None]
+    x = x / np.sqrt(_dot(x, x))[:, None]
     return x, y, z
+
+
+def _draw(key, counter):
+    """Next uniform of each lane's stream; advances ``counter`` in place."""
+    counter += np.uint64(1)
+    return uniform(key, counter)
+
+
+def _nearest_hits(prims, O, D):
+    """(t, primitive index or -1) of each ray's nearest hit, first-declared on ties."""
+    best_t = np.full(O.shape[0], np.inf)
+    best_prim = np.full(O.shape[0], -1, dtype=np.int64)
+    for i, prim in enumerate(prims):
+        if prim[0] == "sphere":
+            _, c, r, _m = prim
+            oc = O - c[None, :]
+            b = _dot(oc, D)
+            cq = _dot(oc, oc) - r * r
+            disc = b * b - cq
+            ok = disc >= 0.0
+            s = np.sqrt(np.where(ok, disc, 0.0))
+            t1 = -b - s
+            t2 = -b + s
+            t = np.where(t1 > T_MIN, t1, t2)
+            ok &= t > T_MIN
+        else:
+            _, corner, eu, ev, nrm, nn, _un, _m = prim
+            denom = _dotv(D, nrm)
+            ok = denom != 0.0  # rays parallel to the plane miss it
+            t = _dotv(corner[None, :] - O, nrm) / np.where(ok, denom, 1.0)
+            ok &= t > T_MIN
+            P = O + t[:, None] * D
+            w = P - corner[None, :]
+            a = _dotv(_cross(w, np.broadcast_to(ev, w.shape)), nrm) / nn
+            bq = _dotv(_cross(np.broadcast_to(eu, w.shape), w), nrm) / nn
+            ok &= (a >= 0.0) & (a <= 1.0) & (bq >= 0.0) & (bq <= 1.0)
+        upd = ok & (t < best_t)
+        best_t[upd] = t[upd]
+        best_prim[upd] = i
+    return best_t, best_prim
 
 
 def trace_lanes(prims, cam, mats, seed, pix, smp, max_depth):
     """Trace one lane per (pixel, sample); returns (PathRecord, vertex count).
 
-    Mirrors make_path exactly, draw for draw.
+    Mirrors make_path exactly, draw for draw.  ``lane`` holds the global
+    index of each in-flight lane; its origin, direction, stream key and
+    counter are gathered alongside and its results scattered back by index.
     """
     n_lanes = pix.shape[0]
-    lanes = _Lanes(seed, pix, smp)
+    key = stream_key(seed, pix.astype(np.uint64), smp.astype(np.uint64))
+    counter = np.zeros(n_lanes, dtype=np.uint64)
+    jx = _draw(key, counter)
+    jy = _draw(key, counter)
     W, H = cam.width, cam.height
-    all_mask = np.ones(n_lanes, dtype=bool)
-    jx = lanes.draw(all_mask)
-    jy = lanes.draw(all_mask)
     px = (pix % W).astype(np.float64)
     py = (pix // W).astype(np.float64)
     sx = (px + jx) / W * 2.0 - 1.0
@@ -186,9 +216,8 @@ def trace_lanes(prims, cam, mats, seed, pix, smp, max_depth):
          + _v3(cam.right)[None, :] * (sx * cam.half_w)[:, None]
          + _v3(cam.upv)[None, :] * (sy * cam.half_h)[:, None])
     D = D / np.sqrt(_dot(D, D))[:, None]
-    O = np.broadcast_to(_v3(cam.eye), (n_lanes, 3)).copy()
-
-    active = all_mask
+    O = np.broadcast_to(_v3(cam.eye), (n_lanes, 3))
+    lane = np.arange(n_lanes)
     n_vertices = 0
     n_cont = np.zeros(n_lanes, dtype=np.int32)
     term_mat = np.full(n_lanes, -1, dtype=np.int64)
@@ -197,47 +226,18 @@ def trace_lanes(prims, cam, mats, seed, pix, smp, max_depth):
     v_u1 = np.zeros((max_depth, n_lanes), dtype=np.float64)
 
     for d in range(max_depth):
-        if not np.any(active):
-            break
-        best_t = np.full(n_lanes, np.inf)
-        best_prim = np.full(n_lanes, -1, dtype=np.int64)
-        for i, prim in enumerate(prims):
-            if prim[0] == "sphere":
-                _, c, r, _m = prim
-                oc = O - c[None, :]
-                b = _dot(oc, D)
-                cq = _dot(oc, oc) - r * r
-                disc = b * b - cq
-                ok = active & (disc >= 0.0)
-                s = np.sqrt(np.where(ok, disc, 0.0))
-                t1 = -b - s
-                t2 = -b + s
-                t = np.where(t1 > T_MIN, t1, t2)
-                ok &= t > T_MIN
-            else:
-                _, corner, eu, ev, nrm, nn, _un, _m = prim
-                denom = _dotv(D, nrm)
-                ok = active & (denom != 0.0)
-                t = _dotv(corner[None, :] - O, nrm) / np.where(ok, denom, 1.0)
-                ok &= t > T_MIN
-                P = O + t[:, None] * D
-                w = P - corner[None, :]
-                a = _dotv(_cross(w, np.broadcast_to(ev, w.shape)), nrm) / nn
-                bq = _dotv(_cross(np.broadcast_to(eu, w.shape), w), nrm) / nn
-                ok &= (a >= 0.0) & (a <= 1.0) & (bq >= 0.0) & (bq <= 1.0)
-            upd = ok & (t < best_t)
-            best_t[upd] = t[upd]
-            best_prim[upd] = i
-
-        hit = active & (best_prim >= 0)  # the others escaped
+        best_t, best_prim = _nearest_hits(prims, O, D)
+        hit = best_prim >= 0  # the others escaped
         if not np.any(hit):
             break
+        lane, key, counter, O, D = lane[hit], key[hit], counter[hit], O[hit], D[hit]
+        best_prim = best_prim[hit]
 
-        point = O + best_t[:, None] * D
-        normal = np.zeros((n_lanes, 3))
-        mat = np.full(n_lanes, -1, dtype=np.int64)
+        point = O + best_t[hit][:, None] * D
+        normal = np.empty_like(point)
+        mat = np.empty(lane.shape[0], dtype=np.int64)
         for i, prim in enumerate(prims):
-            sel = hit & (best_prim == i)
+            sel = best_prim == i
             if not np.any(sel):
                 continue
             if prim[0] == "sphere":
@@ -247,40 +247,40 @@ def trace_lanes(prims, cam, mats, seed, pix, smp, max_depth):
                 m = prim[7]
                 normal[sel] = prim[6][None, :]
             mat[sel] = m
-        flip = hit & (_dot(normal, D) > 0.0)
+        flip = _dot(normal, D) > 0.0
         normal[flip] = -normal[flip]
-        n_vertices += int(np.count_nonzero(hit))
+        n_vertices += lane.shape[0]
 
-        u_rr = lanes.draw(hit)
-        terminal = hit & (u_rr < mats.absorb[np.where(hit, mat, 0)])
-        is_em = terminal & (mats.kind[np.where(terminal, mat, 0)] == MaterialKind.EMITTER)
-        term_mat[is_em] = mat[is_em]
+        terminal = _draw(key, counter) < mats.absorb[mat]
+        is_em = terminal & (mats.kind[mat] == MaterialKind.EMITTER)
+        term_mat[lane[is_em]] = mat[is_em]
 
-        surviving = hit & ~terminal
+        surviving = ~terminal
         if d + 1 >= max_depth or not np.any(surviving):
             break  # the rest end here, at the depth cap or by roulette
+        lane, key, counter, D = lane[surviving], key[surviving], counter[surviving], D[surviving]
+        point, normal, mat = point[surviving], normal[surviving], mat[surviving]
 
-        is_phong = surviving & (mats.kind[np.where(surviving, mat, 0)] == MaterialKind.PHONG)
-        u_lobe = lanes.draw(is_phong)
-        specular = is_phong & (u_lobe < Q_LOBE)
-        u1 = lanes.draw(surviving)
-        u2 = lanes.draw(surviving)
+        is_phong = mats.kind[mat] == MaterialKind.PHONG
+        counter += is_phong  # only glossy vertices draw the lobe pick
+        specular = is_phong & (uniform(key, counter) < Q_LOBE)
+        u1 = _draw(key, counter)
+        u2 = _draw(key, counter)
 
         fx, fy, fz = _make_frames(normal)
-        alpha = np.where(specular, mats.value["exponent"][np.where(specular, mat, 0)], 0.0)
-        t_pow = lobe_t(alpha, np.where(surviving, u1, 0.25))
+        alpha = np.where(specular, mats.value["exponent"][mat], 0.0)
+        t_pow = lobe_t(alpha, u1)
         zloc = np.sqrt(t_pow)
         rloc = np.sqrt(1.0 - t_pow)
         phi = 2.0 * np.pi * u2
         a_loc = np.cos(phi) * rloc
         b_loc = np.sin(phi) * rloc
-        m_dir = fx * a_loc[:, None] + fy * b_loc[:, None] + fz * zloc[:, None]
+        dir_out = fx * a_loc[:, None] + fy * b_loc[:, None] + fz * zloc[:, None]
 
-        dir_out = m_dir.copy()
-        below = np.zeros(n_lanes, dtype=bool)
+        below = np.zeros(lane.shape[0], dtype=bool)
         if np.any(specular):
             inc = -D
-            m_spec = m_dir.copy()
+            m_spec = dir_out.copy()
             mdot_in = _dot(m_spec, inc)
             flip_m = specular & (mdot_in < 0.0)
             if np.any(flip_m):
@@ -293,17 +293,15 @@ def trace_lanes(prims, cam, mats, seed, pix, smp, max_depth):
             sel = specular & ~below
             dir_out[sel] = out[sel]
 
-        v_mat[d, surviving] = mat[surviving]
-        v_u1[d, surviving] = u1[surviving]
-        tag = np.where(specular, LobeTag.SPECULAR,
-                       np.where(is_phong, LobeTag.DIFFUSE, LobeTag.LAMBERT_ONLY))
-        v_tag[d, surviving] = tag[surviving]
+        v_mat[d, lane] = mat
+        v_u1[d, lane] = u1
+        v_tag[d, lane] = np.where(specular, LobeTag.SPECULAR,
+                                  np.where(is_phong, LobeTag.DIFFUSE, LobeTag.LAMBERT_ONLY))
 
-        active = surviving & ~below  # below-horizon samples end the path
-        n_cont[active] = d + 1
-        # keep retired lanes finite so unmasked arithmetic stays warning-free
-        O = np.where(active[:, None], point, O)
-        D = np.where(active[:, None], dir_out, D)
+        cont = ~below  # below-horizon samples end the path
+        lane, key, counter = lane[cont], key[cont], counter[cont]
+        O, D = point[cont], dir_out[cont]
+        n_cont[lane] = d + 1
 
     depth = int(n_cont.max()) if n_lanes else 0
     record = PathRecord(materials=mats.materials, n_cont=n_cont, term_mat=term_mat,

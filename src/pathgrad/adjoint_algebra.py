@@ -106,10 +106,18 @@ def neumann_solve(op, b, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
             return DiscreteField(x, b.weights)
         term = op.matrix @ term
         x = x + term
+    rho = spectral_radius(op.matrix)
+    cause = (f"transport operator is not contractive (rho ~ {rho:.6g} >= 1)" if rho >= 1.0
+             else f"rho ~ {rho:.6g} < 1: the series converges, but needs more terms")
     raise ConvergenceError(
         f"Neumann series did not converge within {max_terms} terms "
         f"(last term norm {float(np.sqrt(np.sum(b.weights * term * term))):.3e}, "
-        f"threshold {threshold:.3e}); transport operator is likely not contractive")
+        f"threshold {threshold:.3e}); {cause}")
+
+
+def spectral_radius(matrix):
+    """Largest eigenvalue magnitude, from a dense eigenvalue solve."""
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
 def spectral_radius_estimate(matrix, n_iter=200, seed=0):
@@ -231,7 +239,7 @@ def fd_gradient_oracle(problem, theta, eps=1e-5, tol=DEFAULT_TOL,
 def random_operator(rng, dim, rho):
     """Random dense operator rescaled to the requested spectral radius."""
     m = rng.standard_normal((dim, dim))
-    r = float(np.max(np.abs(np.linalg.eigvals(m))))
+    r = spectral_radius(m)
     if r == 0.0:
         raise ValueError("degenerate random matrix")
     return DiscreteOperator(m * (rho / r))
@@ -251,8 +259,7 @@ def random_problem(rng, dim, n_controls, rho=0.8):
     t_base = rng.standard_normal((dim, dim))
     dt = rng.standard_normal((n_controls, dim, dim)) * 0.3
     assembled = t_base + np.tensordot(theta, dt, axes=1)
-    r = float(np.max(np.abs(np.linalg.eigvals(assembled))))
-    scale = rho / r
+    scale = rho / spectral_radius(assembled)
     problem = LinearStateProblem(
         t_base=t_base * scale,
         dt=dt * scale,

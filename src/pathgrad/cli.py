@@ -274,8 +274,7 @@ def adjoint_check(dim, n_controls, trials, seed, rho, inject_noncontractive):
         op = alg.random_operator(rng, dim, 1.5)
         w = alg.random_weights(rng, dim)
         b = alg.random_field(rng, dim, w)
-        click.echo(f"spectral radius estimate: "
-                   f"{alg.spectral_radius_estimate(op.matrix):.3f}")
+        click.echo(f"spectral radius: {alg.spectral_radius(op.matrix):.3f}")
         try:
             alg.neumann_solve(op, b, max_terms=200)
         except alg.ConvergenceError as exc:

@@ -11,9 +11,11 @@ Scene grammar (one directive per line, ``#`` starts a comment):
     theta V1 V2 V3 V4 V5 V6 V7
 
 ``@K`` binds a parameter to control K (1..7); each control may be bound at
-most once per scene.  Every number must be finite, quad edges must not be
-parallel, and a scene has one camera line and at most one theta line.  One
-field table (``_DIRECTIVES``, ``_MATERIAL_FIELDS``) drives both directions:
+most once per scene.  Every number must be finite, and so must what the
+tracer derives from them (quad u x v and |u x v|^2, sphere r^2, the camera
+basis); quad edges must not be parallel, and a scene has one camera line
+and at most one theta line.  One field table (``_DIRECTIVES``,
+``_MATERIAL_FIELDS``) drives both directions:
 ``parse_scene`` reads each line by walking it and ``serialize_scene`` writes
 each object by walking it, so the two cannot drift apart.
 
@@ -50,6 +52,12 @@ class SceneSemanticError(SceneError):
     pass
 
 
+def _check_finite(what, value):
+    """Reject a derived quantity that overflowed although its inputs are finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows to {value}; scale the scene down")
+
+
 @dataclass
 class Camera:
     """Pinhole camera; pixel (0, 0) is the top-left corner of the image."""
@@ -74,10 +82,12 @@ class Camera:
         gaze = self.look - self.eye
         if gaze.norm() == 0.0:
             raise ValueError("camera look point coincides with eye")
+        _check_finite("camera |look - eye|", gaze.norm())
         self.forward = gaze.normalized()
         r = self.forward.cross(self.up)
         if r.norm() < 1e-12:
             raise ValueError("camera up vector is parallel to the view direction")
+        _check_finite("camera |forward x up|", r.norm())
         self.right = r.normalized()
         self.upv = self.right.cross(self.forward)
         self.half_h = math.tan(math.radians(self.fov_deg) / 2.0)
@@ -286,11 +296,18 @@ def parse_scene(text):
                 raise SceneSemanticError(lineno, "duplicate theta line")
             theta = ControlVector(**f)
         else:
-            if cls is Sphere and f["radius"] <= 0.0:
-                raise SceneSemanticError(
-                    lineno, f"sphere radius must be positive, got {f['radius']}")
-            if cls is Quad and f["edge_u"].cross(f["edge_v"]).norm() == 0.0:
-                raise SceneSemanticError(lineno, "quad edges u and v are parallel")
+            try:
+                if cls is Sphere:
+                    if f["radius"] <= 0.0:
+                        raise ValueError(f"sphere radius must be positive, got {f['radius']}")
+                    _check_finite("sphere r^2", f["radius"] * f["radius"])
+                else:
+                    n = f["edge_u"].cross(f["edge_v"])
+                    if n.dot(n) == 0.0:
+                        raise ValueError("quad edges u and v are parallel")
+                    _check_finite("quad |u x v|^2", n.dot(n))
+            except ValueError as exc:
+                raise SceneSemanticError(lineno, str(exc)) from None
             if f["material"] not in mat_index:
                 raise SceneSemanticError(lineno, f"undefined material {f['material']!r}")
             f["material"] = mat_index[f["material"]]

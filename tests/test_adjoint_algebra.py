@@ -119,6 +119,20 @@ def test_neumann_raises_on_expanding_operator():
         neumann_solve(op, b, max_terms=200)
 
 
+@pytest.mark.parametrize("radius, cause", [
+    (1.5, "transport operator is not contractive (rho ~ 1.5 >= 1)"),
+    (0.999, "rho ~ 0.999 < 1: the series converges, but needs more terms"),
+])
+def test_neumann_failure_tells_slow_from_not_contractive(radius, cause):
+    op = DiscreteOperator(np.diag([radius, 0.5]))
+    b = DiscreteField([1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ConvergenceError) as exc_info:
+        neumann_solve(op, b, max_terms=50)
+    message = str(exc_info.value)
+    assert message.startswith("Neumann series did not converge within 50 terms")
+    assert message.endswith(cause)
+
+
 def test_neumann_dimension_mismatch():
     b = DiscreteField([1.0, 2.0], [1.0, 1.0])
     with pytest.raises(ValueError):

@@ -131,6 +131,7 @@ def test_domain_errors_exit_one_with_one_line(argv, tmp_path, monkeypatch, capsy
     "material lamp emitter emission 1 base nan absorb 1.0",  # was a NaN image
     "quad p -1 -1 2 u 4 0 0 v 8 0 0 mat wall",                # parallel edges
     "camera eye 0 0 0 look 0 0 1 up 0 1 0 fov 60 res 8 8",    # second camera
+    "quad p 0 0 0 u 1e200 0 0 v 0 0 1e200 mat wall",          # was NaN warnings
 ])
 def test_unrenderable_scene_exits_one_with_one_line(bad_line, tmp_path, capsys):
     scene_file = tmp_path / "scene.txt"
@@ -233,6 +234,19 @@ def test_adjoint_check_non_convergence_is_a_failed_check(capsys):
     assert captured.err == ""
     assert len(captured.out.splitlines()) == 1
     assert captured.out.startswith("RESULT: FAIL (trial 0: ")
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["adjoint-check", "--rho", "0.999", "--trials", "1"],
+     "rho ~ 0.999 < 1: the series converges, but needs more terms"),
+    (["adjoint-check", "--inject-noncontractive"],
+     "transport operator is not contractive (rho ~ 1.5 >= 1)"),
+])
+def test_adjoint_check_failure_quotes_spectral_radius(argv, cause, capsys):
+    assert main(argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("RESULT: FAIL") for line in lines) == 1
+    assert sum(cause in line for line in lines) == 1
 
 
 def test_optimize_recovers_control_and_writes_artifacts(tmp_path, capsys):

@@ -112,6 +112,17 @@ CAM = "camera eye 0 0 0 look 0 0 1 up 0 1 0 fov 60 res 2 2\n"
      "fov must lie"),
     (CAM + "camera eye 0 0 0 look 0 0 1 up 0 1 0 fov 60 res 0 2",
      "at least 1x1"),
+    # finite numbers whose derived values overflow
+    (CAM + "material m lambert ambient 0.1 diffuse 0.5 absorb 0.3\n"
+     "quad p 0 0 0 u 1e200 0 0 v 0 0 1e200 mat m", "quad |u x v|^2 overflows"),
+    (CAM + "material m lambert ambient 0.1 diffuse 0.5 absorb 0.3\n"
+     "quad p 0 0 0 u 1e155 1e155 0 v 0 1e155 1e155 mat m", "quad |u x v|^2 overflows"),
+    (CAM + "material m lambert ambient 0.1 diffuse 0.5 absorb 0.3\n"
+     "sphere c 0 0 0 r 1e200 mat m", "sphere r^2 overflows"),
+    (CAM + "camera eye -1e200 0 0 look 1e200 0 0 up 0 1 0 fov 60 res 2 2",
+     "camera |look - eye| overflows"),
+    (CAM + "camera eye 0 0 0 look 0 0 1 up 1e200 1e200 0 fov 60 res 2 2",
+     "camera |forward x up| overflows"),
 ])
 def test_parse_semantic_errors(text, phrase):
     with pytest.raises(SceneSemanticError) as exc_info:

@@ -4,7 +4,8 @@ import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
-from pathgrad.materials import GradientVector, N_CONTROLS
+from pathgrad import _wavefront
+from pathgrad.materials import GradientVector, LobeTag, N_CONTROLS
 from pathgrad.path_engine import (TerminalKind, backward_pass, forward_pass,
                                   trace_image, trace_pixel_sample)
 from pathgrad.sampling import _MASK64, _mix64, stream_key, uniform
@@ -178,3 +179,77 @@ def test_mean_depth_and_outputs_sane():
     assert np.all(np.isfinite(out.image.data))
     assert np.all(out.image.data >= 0.0)
     assert out.cost == 0.0  # no target requested
+
+
+def _lanes_record(scene, theta, spp, seed, max_depth):
+    """trace_lanes on every (pixel, sample) lane of the image, pixel-major."""
+    npix = scene.camera.width * scene.camera.height
+    pix = np.repeat(np.arange(npix, dtype=np.int64), spp)
+    smp = np.tile(np.arange(spp, dtype=np.int64), npix)
+    mats = _wavefront.material_table(scene.materials, theta)
+    return _wavefront.trace_lanes(_wavefront._flat_prims(scene), scene.camera, mats,
+                                  seed, pix, smp, max_depth)
+
+
+def test_camera_facing_away_escapes_every_lane_at_the_first_step():
+    scene = parse_scene(OPEN_SCENE.replace("look 0 80 0", "look 0 150 -1000"))
+    record, n_vertices = _lanes_record(scene, scene.theta, 2, 9, 16)
+    assert n_vertices == 0
+    assert record.v_mat.shape == record.v_tag.shape == record.v_u1.shape == (0, 288)
+    assert not record.n_cont.any()
+    assert np.all(record.term_mat == -1)
+    target = ScalarImage(12, 12, np.full((12, 12), 0.25, dtype=np.float32))
+    out = trace_image(scene, scene.theta, spp=2, seed=9, target=target,
+                      compute_gradients=True)
+    assert not out.image.data.any()
+    assert out.mean_depth == 0.0
+    assert out.grad.as_tuple() == (0.0,) * N_CONTROLS
+
+
+@pytest.mark.parametrize("make_scene", [lambda: build_cornell_box(12, 12),
+                                        _open_scene], ids=["cornell", "open"])
+def test_depth_cap_of_one_matches_scalar_engine(make_scene):
+    scene, theta = make_scene()
+    target = ScalarImage(12, 12, np.full((12, 12), 0.25, dtype=np.float32))
+    out = trace_image(scene, theta, spp=2, seed=9, target=target,
+                      compute_gradients=True, max_depth=1)
+    mean32, cost, grad, _ = _scalar_reference(scene, theta, 2, 9, target, max_depth=1)
+    assert_allclose(out.image.data.reshape(-1).astype(np.float64), mean32,
+                    rtol=1e-6, atol=1e-9)
+    assert_allclose(out.cost, cost, rtol=1e-12)
+    assert_allclose(out.grad.as_array(), grad, rtol=1e-12, atol=1e-15)
+    assert 0.0 < out.mean_depth <= 1.0
+    record, _ = _lanes_record(scene, theta, 2, 9, 1)
+    assert record.v_mat.shape[0] == 0 and not record.n_cont.any()
+
+
+def test_lanes_ending_below_the_horizon_match_make_path_lane_by_lane():
+    # a wide lobe (theta5 = 1) on the ball sends some specular samples under
+    # the surface while neighbouring lanes bounce on
+    scene, theta = _open_scene()
+    theta = theta.with_control(5, 1.0)
+    spp, seed = 2, 9
+    record, _ = _lanes_record(scene, theta, spp, seed, 16)
+    depth, n_lanes = record.v_mat.shape
+    v_mat = np.full((depth, n_lanes), -1)
+    v_tag = np.full((depth, n_lanes), LobeTag.NONE)
+    v_u1 = np.zeros((depth, n_lanes))
+    n_cont = np.zeros(n_lanes, dtype=np.int64)
+    term_mat = np.full(n_lanes, -1)
+    below_at = []
+    for lane in range(n_lanes):
+        path = trace_pixel_sample(scene, theta, lane // spp, lane % spp, seed)
+        n_cont[lane] = path.continuation_count
+        if path.terminal_kind is TerminalKind.EMITTER:
+            term_mat[lane] = path.vertices[-1].hit.material_id
+        if path.terminal_kind is TerminalKind.BELOW_HORIZON:
+            below_at.append(len(path.vertices) - 1)
+        for d, v in enumerate(path.vertices[:depth]):
+            if v.tag is not LobeTag.NONE:  # sampled a bounce, below-horizon ones too
+                v_mat[d, lane], v_tag[d, lane], v_u1[d, lane] = v.hit.material_id, v.tag, v.u1
+    assert below_at and any(np.any(n_cont > d) for d in below_at)
+    assert np.array_equal(record.n_cont, n_cont)
+    assert np.array_equal(record.term_mat, term_mat)
+    assert np.array_equal(record.v_mat, v_mat)
+    assert np.array_equal(record.v_tag, v_tag)
+    assert np.array_equal(record.v_u1, v_u1)
