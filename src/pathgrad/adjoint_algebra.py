@@ -120,23 +120,6 @@ def spectral_radius(matrix):
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
-def spectral_radius_estimate(matrix, n_iter=200, seed=0):
-    """Power-iteration estimate of the spectral radius (norm growth rate)."""
-    rng = np.random.default_rng(seed)
-    m = np.asarray(matrix, dtype=np.float64)
-    x = rng.standard_normal(m.shape[0])
-    x /= np.linalg.norm(x)
-    rate = 0.0
-    for _ in range(n_iter):
-        y = m @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        rate = ny
-        x = y / ny
-    return float(rate)
-
-
 def measurement_duality_check(op, source, measure, tol=DEFAULT_TOL,
                               max_terms=DEFAULT_MAX_TERMS):
     """Evaluate one measurement both ways.

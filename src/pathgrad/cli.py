@@ -315,7 +315,7 @@ def adjoint_check(dim, n_controls, trials, seed, rho, inject_noncontractive):
 @_common_options
 @click.option("--pixel", "pixel_text", type=str, default=None,
               help="Pixel as 'x,y'; default image center.")
-@click.option("--sample", type=int, default=0, show_default=True)
+@click.option("--sample", type=click.IntRange(min=0), default=0, show_default=True)
 def dump_path(scene_path, cornell, width, height, spp, seed, max_depth,
               threads, theta_text, pixel_text, sample):
     """Trace one camera path and print its vertices."""

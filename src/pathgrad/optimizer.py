@@ -1,9 +1,12 @@
 """Projected gradient descent over the seven scene controls.
 
-Each iteration renders the scene with a fixed seed, differentiates the
-image cost against a target via the backward pass, adds an optional
-Tikhonov term, takes a steepest-descent step, and clamps the result to
-per-control bounds.  Freezing a control is expressed by giving it equal
+Each iteration evaluates the image cost against a target and its gradient
+by the backward pass, adds an optional Tikhonov term, takes a
+steepest-descent step, and clamps the result to per-control bounds.  One
+trace session serves the whole run at a fixed seed: its paths depend on the
+controls only through the lobe exponents, so while those stay put each
+iteration re-sweeps the paths the first one traced, bit-identically to a
+fresh render.  Freezing a control is expressed by giving it equal
 lower and upper bounds.  Non-finite costs, gradients or stepped controls
 abort the run with DivergenceError rather than silently continuing.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .materials import ControlVector, N_CONTROLS
-from .path_engine import DEFAULT_MAX_DEPTH, trace_image
+from .path_engine import DEFAULT_MAX_DEPTH, target_rows
 
 DEFAULT_LOWER = (0.0,) * N_CONTROLS
 # cosine-lobe exponents beyond this sample so tightly the estimator is useless
@@ -85,13 +88,16 @@ class OptimTrajectory:
         return "\n".join(lines) + "\n"
 
 
-def total_cost_and_grad(scene, theta, target, config):
-    """Rendered image cost plus Tikhonov term, with matching gradient."""
-    out = trace_image(scene, theta, spp=config.spp, seed=config.seed,
-                      target=target, compute_gradients=True,
-                      threads=config.threads, max_depth=config.max_depth)
+def total_cost_and_grad(session, theta, target, config):
+    """Image cost plus Tikhonov term, with matching gradient.
+
+    ``session`` is a _wavefront.Session of the scene at the config's spp,
+    seed, threads and depth cap; ``target`` holds the rows target_rows
+    returned.
+    """
+    out = session.evaluate(theta, target, want_grad=True, want_grad_images=False)
     cost = out.cost
-    grad = out.grad.as_array()
+    grad = out.grad
     if config.regularization != 0.0:
         t = theta.as_array()
         cost += 0.5 * config.regularization * float(t @ t)
@@ -114,33 +120,39 @@ def optimize(scene, theta0, target, config=None, callback=None):
     """Run projected gradient descent; returns the full trajectory.
 
     The trajectory records cost/gradient at each visited iterate, including
-    the final one (with its gradient evaluated but no step taken).
+    the final one (with its gradient evaluated but no step taken).  Raises
+    ValueError for the inputs trace_image rejects, and DivergenceError;
+    either way the session's workers are stopped.
     """
+    from ._wavefront import Session  # loaded on first use, not by `import pathgrad`
+
     config = config or OptimConfig()
+    rows = target_rows(target, scene.camera)
     theta = ControlVector.from_array(project(theta0.as_array(), config))
     trajectory = OptimTrajectory()
-    for it in range(config.n_iterations + 1):
-        cost, grad = total_cost_and_grad(scene, theta, target, config)
-        gnorm = float(np.linalg.norm(grad))
-        if not (math.isfinite(cost) and math.isfinite(gnorm)):
-            raise DivergenceError(
-                f"non-finite cost or gradient at iteration {it} "
-                f"(cost={cost!r}, |grad|={gnorm!r})")
-        trajectory.records.append(OptimRecord(it, cost, gnorm,
-                                              theta.values))
-        if callback is not None:
-            callback(trajectory.records[-1])
-        if cost <= COST_TOL:
-            trajectory.converged = True
-            trajectory.reason = f"cost {cost:.3e} below tolerance"
-            break
-        if gnorm <= GRAD_TOL:
-            trajectory.converged = True
-            trajectory.reason = f"gradient norm {gnorm:.3e} below tolerance"
-            break
-        if it == config.n_iterations:
-            break
-        theta = gd_step(theta, grad, config)
-        if not np.all(np.isfinite(theta.as_array())):
-            raise DivergenceError(f"step {it} left non-finite controls {theta.values!r}")
-    return trajectory
+    with Session(scene, config.spp, config.seed, config.threads, config.max_depth) as session:
+        for it in range(config.n_iterations + 1):
+            cost, grad = total_cost_and_grad(session, theta, rows, config)
+            gnorm = float(np.linalg.norm(grad))
+            if not (math.isfinite(cost) and math.isfinite(gnorm)):
+                raise DivergenceError(
+                    f"non-finite cost or gradient at iteration {it} "
+                    f"(cost={cost!r}, |grad|={gnorm!r})")
+            trajectory.records.append(OptimRecord(it, cost, gnorm,
+                                                  theta.values))
+            if callback is not None:
+                callback(trajectory.records[-1])
+            if cost <= COST_TOL:
+                trajectory.converged = True
+                trajectory.reason = f"cost {cost:.3e} below tolerance"
+                break
+            if gnorm <= GRAD_TOL:
+                trajectory.converged = True
+                trajectory.reason = f"gradient norm {gnorm:.3e} below tolerance"
+                break
+            if it == config.n_iterations:
+                break
+            theta = gd_step(theta, grad, config)
+            if not np.all(np.isfinite(theta.as_array())):
+                raise DivergenceError(f"step {it} left non-finite controls {theta.values!r}")
+        return trajectory

@@ -179,6 +179,24 @@ class TraceOutput:
     grad_images: np.ndarray | None = None  # (7, height, width) float64
 
 
+def target_rows(target, camera):
+    """The target image as float64 rows, checked against the camera.
+
+    Raises ValueError for a missing target, one whose resolution differs
+    from the camera's, or one with non-finite pixels.
+    """
+    if target is None:
+        raise ValueError("the image cost gradient requires a target image")
+    if (target.width, target.height) != (camera.width, camera.height):
+        raise ValueError(
+            f"target resolution {target.width}x{target.height} does not match "
+            f"camera resolution {camera.width}x{camera.height}")
+    rows = target.data.astype(np.float64)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("target image has non-finite pixels")
+    return rows
+
+
 def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
                 threads=1, max_depth=DEFAULT_MAX_DEPTH, want_grad_images=False):
     """Render the scene; optionally differentiate a quadratic image cost.
@@ -189,29 +207,16 @@ def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
     adjoint (mean - target) / spp, the exact derivative of that cost with
     respect to the sample's radiance.  Outputs are bit-stable for a fixed
     worker count; per-pixel values do not depend on the worker count at all.
-    Raises ValueError for spp, max_depth or threads below 1, a target with
-    non-finite pixels, or controls outside the domain material_table accepts.
+    Raises ValueError for spp, max_depth or threads below 1, a target that
+    target_rows rejects, or controls outside the domain material_table
+    accepts.
     """
     from . import _wavefront
 
-    _check_at_least_one(spp=spp, max_depth=max_depth, threads=threads)
     cam = scene.camera
-    if compute_gradients:
-        if target is None:
-            raise ValueError("compute_gradients=True requires a target image")
-        if (target.width, target.height) != (cam.width, cam.height):
-            raise ValueError(
-                f"target resolution {target.width}x{target.height} does not match "
-                f"camera resolution {cam.width}x{cam.height}")
-        target_rows = target.data.astype(np.float64)
-        if not np.all(np.isfinite(target_rows)):
-            raise ValueError("target image has non-finite pixels")
-    else:
-        target_rows = None
-
-    result = _wavefront.trace(scene, theta, spp, seed, target_rows,
-                              compute_gradients, threads, max_depth,
-                              want_grad_images)
+    rows = target_rows(target, cam) if compute_gradients else None
+    result = _wavefront.trace(scene, theta, spp, seed, rows, compute_gradients,
+                              threads, max_depth, want_grad_images)
     image = ScalarImage(cam.width, cam.height,
                         result.pixel_mean.astype(np.float32))
     grad = GradientVector(result.grad)

@@ -38,13 +38,17 @@ class FrozenEnsemble:
     paths: list
     targets: np.ndarray
     label: str = ""
-    record: object = field(init=False, repr=False)  # _wavefront.PathRecord
+    materials: list = field(init=False, repr=False)  # Material per record id
+    record: object = field(init=False, repr=False)     # _wavefront.PathRecord
+    plan: object = field(init=False, repr=False)       # its _wavefront.SweepPlan
 
     def __post_init__(self):
+        from ._wavefront import sweep_plan  # loaded on first use, not by `import pathgrad`
         self.targets = np.asarray(self.targets, dtype=np.float64)
         if self.targets.shape != (len(self.paths),):
             raise ValueError("one target radiance per path required")
-        self.record = _record_of(self.paths)
+        self.materials, self.record = _record_of(self.paths)
+        self.plan = sweep_plan(self.record)
 
     @property
     def n_paths(self):
@@ -52,8 +56,8 @@ class FrozenEnsemble:
 
 
 def _record_of(paths):
-    """The sweeps' view of frozen paths, one lane per path."""
-    from ._wavefront import PathRecord  # loaded on first use, not by `import pathgrad`
+    """(materials by id, the sweeps' view of frozen paths, one lane per path)."""
+    from ._wavefront import PathRecord, id_dtype
     ids = {}  # id(material) -> (material id, material)
 
     def mat_id(material):
@@ -72,7 +76,9 @@ def _record_of(paths):
             v_u1[d, lane] = v.u1
         if path.terminal_kind is TerminalKind.EMITTER:
             term_mat[lane] = mat_id(path.vertices[-1].material)
-    return PathRecord([m for _, m in ids.values()], n_cont, term_mat, v_mat, v_tag, v_u1)
+    dtype = id_dtype(len(ids))
+    return ([m for _, m in ids.values()],
+            PathRecord(n_cont, term_mat.astype(dtype), v_mat.astype(dtype), v_tag, v_u1))
 
 
 def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
@@ -107,8 +113,8 @@ def build_single_path_ensemble(scene, theta, seed, sample_index=0,
 def _sweep(ensemble, theta):
     """Forward sweep at theta: residuals, mean quadratic cost, sweep cache."""
     from ._wavefront import forward, material_table
-    record = ensemble.record
-    radiance, cache = forward(record, material_table(record.materials, theta))
+    mats = material_table(ensemble.materials, theta)
+    radiance, cache = forward(ensemble.record, mats, ensemble.plan)
     costs, resid = cost_and_adjoint(radiance, ensemble.targets)
     return resid, float(np.sum(costs)) / ensemble.n_paths, cache
 

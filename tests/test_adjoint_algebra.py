@@ -11,8 +11,7 @@ from pathgrad.adjoint_algebra import (ConvergenceError, DiscreteField,
                                       measurement_duality_check,
                                       neumann_solve, random_field,
                                       random_operator, random_problem,
-                                      random_weights,
-                                      spectral_radius_estimate)
+                                      random_weights)
 
 
 def test_scalar_transport_oracle():
@@ -137,17 +136,6 @@ def test_neumann_dimension_mismatch():
     b = DiscreteField([1.0, 2.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         neumann_solve(DiscreteOperator(np.zeros((3, 3))), b)
-
-
-def test_spectral_radius_estimate():
-    assert_allclose(spectral_radius_estimate(np.diag([0.9, 0.3])), 0.9,
-                    rtol=1e-6)
-    rng = np.random.default_rng(15)
-    m = rng.standard_normal((10, 10))
-    sym = 0.5 * (m + m.T)
-    want = float(np.max(np.abs(np.linalg.eigvals(sym))))
-    assert_allclose(spectral_radius_estimate(sym, n_iter=500), want, rtol=1e-3)
-    assert spectral_radius_estimate(np.zeros((4, 4))) == 0.0
 
 
 def test_measurement_duality_randomized():

@@ -66,6 +66,7 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
     ["render", "--cornell", "--max-depth", "0"],   # no path vertex
     ["render", "--cornell", "--max-depth", "-3"],
     ["dump-path", "--cornell", "--max-depth", "0"],
+    ["dump-path", "--cornell", "--sample", "-1"],  # a sample no render traces
     ["no-such-command"],
     ["render", "--cornell", "--width", "0"],       # empty raster
     ["render", "--cornell", "--height", "0"],

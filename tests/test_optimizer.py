@@ -11,7 +11,8 @@ from pathgrad.optimizer import (DEFAULT_LOWER, DEFAULT_UPPER, DivergenceError,
                                 OptimConfig, OptimRecord, OptimTrajectory,
                                 gd_step, optimize, project,
                                 total_cost_and_grad)
-from pathgrad.path_engine import trace_image
+from pathgrad._wavefront import Session
+from pathgrad.path_engine import target_rows, trace_image
 from pathgrad.scene_io import ScalarImage, build_cornell_box
 
 
@@ -97,8 +98,10 @@ def test_regularization_enters_cost_and_grad():
     target = trace_image(scene, theta, spp=2, seed=1).image
     plain = OptimConfig(spp=2, seed=1)
     reg = OptimConfig(spp=2, seed=1, regularization=0.5)
-    c0, g0 = total_cost_and_grad(scene, theta, target, plain)
-    c1, g1 = total_cost_and_grad(scene, theta, target, reg)
+    rows = target_rows(target, scene.camera)
+    with Session(scene, spp=2, seed=1, threads=1, max_depth=plain.max_depth) as session:
+        c0, g0 = total_cost_and_grad(session, theta, rows, plain)
+        c1, g1 = total_cost_and_grad(session, theta, rows, reg)
     t = theta.as_array()
     assert_allclose(c1 - c0, 0.25 * float(t @ t), rtol=1e-12)
     assert_allclose(g1 - g0, 0.5 * t, rtol=1e-12)

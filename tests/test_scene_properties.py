@@ -1,5 +1,7 @@
-"""Property tests of the scene text format: round trips and finite numbers."""
+"""Property tests of the scene text format and the PFM image format: round
+trips and finite numbers."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -8,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from pathgrad.geometry import Quad, Sphere, Vec3  # noqa: E402
 from pathgrad.materials import (Binding, ControlVector, Material,  # noqa: E402
                                 MaterialKind, N_CONTROLS)
-from pathgrad.scene_io import (Camera, SceneError, parse_scene,  # noqa: E402
-                               serialize_scene)
+from pathgrad.scene_io import (Camera, ScalarImage, SceneError,  # noqa: E402
+                               parse_scene, read_pfm, serialize_scene, write_pfm)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -133,3 +135,17 @@ def test_any_non_finite_number_is_rejected_on_its_line(case, data):
     with pytest.raises(SceneError) as exc_info:
         parse_scene("\n".join(lines))
     assert exc_info.value.line == i + 1
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_pfm_write_read_round_trip_is_a_fixed_point(width, height, data):
+    # any float32, nan and infinities included, comes back bit for bit
+    values = data.draw(st.lists(st.floats(width=32), min_size=width * height,
+                                max_size=width * height))
+    image = ScalarImage(width, height, np.array(values, dtype=np.float32).reshape(height, width))
+    once = write_pfm(image)
+    back = read_pfm(once)
+    assert (back.width, back.height) == (width, height)
+    assert np.array_equal(back.data.view(np.uint32), image.data.view(np.uint32))
+    assert write_pfm(back) == once

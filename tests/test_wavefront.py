@@ -1,11 +1,14 @@
 """Vectorized tracer vs the scalar engine, draw for draw."""
 
+import multiprocessing
+
 import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
 from pathgrad import _wavefront
 from pathgrad.materials import GradientVector, LobeTag, N_CONTROLS
+from pathgrad.optimizer import DivergenceError, OptimConfig, optimize
 from pathgrad.path_engine import (TerminalKind, backward_pass, forward_pass,
                                   trace_image, trace_pixel_sample)
 from pathgrad.sampling import _MASK64, _mix64, stream_key, uniform
@@ -187,8 +190,9 @@ def _lanes_record(scene, theta, spp, seed, max_depth):
     pix = np.repeat(np.arange(npix, dtype=np.int64), spp)
     smp = np.tile(np.arange(spp, dtype=np.int64), npix)
     mats = _wavefront.material_table(scene.materials, theta)
-    return _wavefront.trace_lanes(_wavefront._flat_prims(scene), scene.camera, mats,
-                                  seed, pix, smp, max_depth)
+    return _wavefront.trace_lanes(_wavefront._flat_prims(scene), scene.camera, mats.kind,
+                                  mats.absorb, mats.value["exponent"], seed, pix, smp,
+                                  max_depth)
 
 
 def test_camera_facing_away_escapes_every_lane_at_the_first_step():
@@ -253,3 +257,77 @@ def test_lanes_ending_below_the_horizon_match_make_path_lane_by_lane():
     assert np.array_equal(record.v_mat, v_mat)
     assert np.array_equal(record.v_tag, v_tag)
     assert np.array_equal(record.v_u1, v_u1)
+
+
+def _same_result(a, b):
+    """Two TraceResults agree bit for bit."""
+    assert np.array_equal(a.pixel_mean, b.pixel_mean)
+    assert a.cost == b.cost and a.mean_depth == b.mean_depth
+    assert np.array_equal(a.grad, b.grad)
+    assert np.array_equal(a.grad_images, b.grad_images)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_session_replay_is_bit_identical_to_fresh_traces(threads):
+    scene, theta = build_cornell_box(12, 10)
+    rows = np.full((10, 12), 0.25)
+    # theta7 leaves the paths alone; each theta5 change re-traces every chunk
+    thetas = [theta, theta.with_control(7, 0.55), theta.with_control(5, 35.0), theta]
+    expected_traces = [1, 1, 2, 3]
+    with _wavefront.Session(scene, spp=2, seed=9, threads=threads, max_depth=16) as session:
+        for t, traces in zip(thetas, expected_traces):
+            got = session.evaluate(t, rows, want_grad=True, want_grad_images=True)
+            fresh = _wavefront.trace(scene, t, 2, 9, rows, True, threads, 16, True)
+            _same_result(got, fresh)
+            assert session.traces == traces * threads
+
+
+@pytest.mark.parametrize("free, retraces", [({7}, False), ({5}, True)])
+def test_optimize_traces_again_only_when_an_exponent_moves(monkeypatch, free, retraces):
+    scene, theta = build_cornell_box(8, 8)
+    target = trace_image(scene, theta, spp=2, seed=3).image
+    start = theta.with_control(7, 0.3).with_control(5, 35.0)
+    config = OptimConfig(learning_rate=4e-5, n_iterations=4, spp=2, seed=3,
+                         threads=2).with_frozen(start, free)
+    sessions = []
+
+    class Recording(_wavefront.Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(_wavefront, "Session", Recording)
+    traj = optimize(scene, start, target, config)
+    assert len(traj.records) == 5 and len(sessions) == 1
+    assert len({r.theta[4] for r in traj.records}) == (5 if retraces else 1)
+    assert sessions[0].traces == 2 * (len(traj.records) if retraces else 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_session_checks_theta_on_a_cache_hit(threads):
+    scene, theta = build_cornell_box(6, 6)
+    rows = np.zeros((6, 6))
+    with _wavefront.Session(scene, spp=1, seed=0, threads=threads, max_depth=16) as session:
+        first = session.evaluate(theta, rows, True, False)
+        # theta7 leaves the exponents, and so the cache key, as they were
+        with pytest.raises(ValueError, match="must be finite"):
+            session.evaluate(theta.with_control(7, np.nan), rows, True, False)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            session.evaluate(theta.with_control(5, -1.0), rows, True, False)
+        _same_result(session.evaluate(theta, rows, True, False), first)
+        assert session.traces == threads
+
+
+def test_no_worker_outlives_optimize():
+    scene, theta = build_cornell_box(8, 8)
+    target = trace_image(scene, theta, spp=2, seed=1).image
+    config = OptimConfig(learning_rate=4e-5, n_iterations=2, spp=2, seed=1, threads=2)
+    optimize(scene, theta.with_control(7, 0.3), target, config)
+    assert multiprocessing.active_children() == []
+    # an absurd target makes the first step overshoot into overflow
+    huge = ScalarImage(8, 8, np.full((8, 8), 1e38, dtype=np.float32))
+    config = OptimConfig(learning_rate=1.0, n_iterations=5, spp=2, seed=42, threads=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            optimize(scene, theta, huge, config)
+    assert multiprocessing.active_children() == []
