@@ -7,13 +7,18 @@ engine in path_engine/make_path: every lane owns the same keyed counter
 stream, and draws advance only on lanes that would draw in the scalar code.
 Each depth step gathers the in-flight lanes (path compaction, as in Laine,
 Karras & Aila, HPG 2013) and steps those alone, so ended lanes cost nothing.
+The nearest-hit search reads the rays as x/y/z columns and, per primitive,
+finishes the intersection only on the lanes a cheap first test leaves
+(those that can still hit it nearer than their best hit so far); at depth 0
+every lane starts at the eye, so the origin-only terms are one scalar per
+primitive.  It keeps geometry's association term for term.
 ``forward``/``backward`` sweep a record along its ``SweepPlan``; validation
 replays frozen scalar paths through them too.  Tests assert the equivalence
 with the scalar engine.  Formulas on floats or arrays live once and are
 called by both engines: the streams and the lobe height in sampling, the
 per-vertex rules, roulette weight and emitter radiance in materials.  Only
 the Vec3 geometry (intersection, frames, lobe directions) stays twinned
-here on (N, 3) arrays; geometry says why.
+here on arrays; geometry says why.
 
 A ``Session`` splits the pixel range into chunks merged in chunk order, so
 per-pixel outputs never depend on the worker count and reductions are
@@ -155,11 +160,6 @@ def _dot(a, b):
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
-def _dotv(a, v):
-    """Row-wise dot with a fixed vector, same term order as Vec3.dot."""
-    return a[:, 0] * v[0] + a[:, 1] * v[1] + a[:, 2] * v[2]
-
-
 def _cross(a, b):
     out = np.empty_like(a)
     out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
@@ -193,36 +193,70 @@ def _draw(key, counter):
 
 
 def _nearest_hits(prims, O, D):
-    """(t, primitive index or -1) of each ray's nearest hit, first-declared on ties."""
-    best_t = np.full(O.shape[0], np.inf)
-    best_prim = np.full(O.shape[0], -1, dtype=np.int64)
+    """(t, primitive index or -1) of each ray's nearest hit, first-declared on ties.
+
+    ``D`` holds one direction per ray, (N, 3).  ``O`` is either one origin
+    shared by every ray, a (3,) vector (the camera eye, at depth 0), or one
+    origin per ray, (N, 3); the caller says which by the shape it passes.
+    A shared origin makes the origin-only terms (the sphere's ``oc`` and
+    ``oc.oc - r^2``, the quad's ``(corner - O).n``) one scalar per
+    primitive.  Rays are read as contiguous x/y/z columns.  Each primitive
+    first runs a cheap test on every ray (sphere: the discriminant; quad:
+    the plane distance, beyond T_MIN and nearer than the best hit so far),
+    then finishes the survivors alone.  Every per-ray expression keeps the
+    association of geometry.intersect_sphere / intersect_quad, so results
+    are bit-identical to the scalar reference.
+    """
+    n = D.shape[0]
+    Dx, Dy, Dz = np.ascontiguousarray(D.T)
+    shared = O.ndim == 1
+    if shared:
+        Ox, Oy, Oz = (float(v) for v in O)
+    else:
+        Ox, Oy, Oz = np.ascontiguousarray(O.T)
+    best_t = np.full(n, np.inf)
+    best_prim = np.full(n, -1, dtype=np.int64)
     for i, prim in enumerate(prims):
         if prim[0] == "sphere":
             _, c, r, _m = prim
-            oc = O - c[None, :]
-            b = _dot(oc, D)
-            cq = _dot(oc, oc) - r * r
+            ocx, ocy, ocz = Ox - c[0], Oy - c[1], Oz - c[2]
+            b = ocx * Dx + ocy * Dy + ocz * Dz
+            cq = ocx * ocx + ocy * ocy + ocz * ocz - r * r
             disc = b * b - cq
-            ok = disc >= 0.0
-            s = np.sqrt(np.where(ok, disc, 0.0))
+            idx = np.flatnonzero(disc >= 0.0)
+            if not idx.size:
+                continue
+            b = b[idx]
+            s = np.sqrt(disc[idx])
             t1 = -b - s
-            t2 = -b + s
-            t = np.where(t1 > T_MIN, t1, t2)
-            ok &= t > T_MIN
+            t = np.where(t1 > T_MIN, t1, -b + s)
+            win = (t > T_MIN) & (t < best_t[idx])
         else:
             _, corner, eu, ev, nrm, nn, _un, _m = prim
-            denom = _dotv(D, nrm)
+            cx, cy, cz = corner
+            nx, ny, nz = nrm
+            denom = Dx * nx + Dy * ny + Dz * nz
             ok = denom != 0.0  # rays parallel to the plane miss it
-            t = _dotv(corner[None, :] - O, nrm) / np.where(ok, denom, 1.0)
-            ok &= t > T_MIN
-            P = O + t[:, None] * D
-            w = P - corner[None, :]
-            a = _dotv(_cross(w, np.broadcast_to(ev, w.shape)), nrm) / nn
-            bq = _dotv(_cross(np.broadcast_to(eu, w.shape), w), nrm) / nn
-            ok &= (a >= 0.0) & (a <= 1.0) & (bq >= 0.0) & (bq <= 1.0)
-        upd = ok & (t < best_t)
-        best_t[upd] = t[upd]
-        best_prim[upd] = i
+            num = (cx - Ox) * nx + (cy - Oy) * ny + (cz - Oz) * nz
+            t = num / np.where(ok, denom, 1.0)
+            idx = np.flatnonzero(ok & (t > T_MIN) & (t < best_t))
+            if not idx.size:
+                continue
+            t = t[idx]
+            ox, oy, oz = (Ox, Oy, Oz) if shared else (Ox[idx], Oy[idx], Oz[idx])
+            wx = ox + t * Dx[idx] - cx  # w = hit point - corner
+            wy = oy + t * Dy[idx] - cy
+            wz = oz + t * Dz[idx] - cz
+            # (w x e_v).n and (e_u x w).n, term for term as Vec3.cross then Vec3.dot
+            ux, uy, uz = eu
+            vx, vy, vz = ev
+            a = ((wy * vz - wz * vy) * nx + (wz * vx - wx * vz) * ny
+                 + (wx * vy - wy * vx) * nz) / nn
+            bq = ((uy * wz - uz * wy) * nx + (uz * wx - ux * wz) * ny
+                  + (ux * wy - uy * wx) * nz) / nn
+            win = (a >= 0.0) & (a <= 1.0) & (bq >= 0.0) & (bq <= 1.0)
+        best_t[idx[win]] = t[win]
+        best_prim[idx[win]] = i
     return best_t, best_prim
 
 
@@ -249,7 +283,7 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
          + _v3(cam.right)[None, :] * (sx * cam.half_w)[:, None]
          + _v3(cam.upv)[None, :] * (sy * cam.half_h)[:, None])
     D = D / np.sqrt(_dot(D, D))[:, None]
-    O = np.broadcast_to(_v3(cam.eye), (n_lanes, 3))
+    O = _v3(cam.eye)  # every lane starts at the eye: one shared origin until depth 1
     lane = np.arange(n_lanes)
     n_vertices = 0
     ids = id_dtype(kind.shape[0])
@@ -264,8 +298,10 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
         hit = best_prim >= 0  # the others escaped
         if not np.any(hit):
             break
-        lane, key, counter, O, D = lane[hit], key[hit], counter[hit], O[hit], D[hit]
+        lane, key, counter, D = lane[hit], key[hit], counter[hit], D[hit]
         best_prim = best_prim[hit]
+        if O.ndim == 2:  # the shared eye needs no gather
+            O = O[hit]
 
         point = O + best_t[hit][:, None] * D
         normal = np.empty_like(point)

@@ -55,6 +55,24 @@ def _parse_theta_option(text):
         raise click.BadParameter(str(exc)) from None
 
 
+def _parse_free(text):
+    """The --free control numbers: a comma or space list of 1..N_CONTROLS, not empty."""
+    parts = text.replace(",", " ").split()
+    if not parts:
+        raise click.BadParameter("expected at least one control number",
+                                 param_hint="'--free'")
+    try:
+        free = {int(p) for p in parts}
+    except ValueError:
+        raise click.BadParameter(f"expected control numbers 1..{N_CONTROLS}, got {text!r}",
+                                 param_hint="'--free'") from None
+    bad = free - set(range(1, N_CONTROLS + 1))
+    if bad:
+        raise click.BadParameter(f"controls outside 1..{N_CONTROLS}: {sorted(bad)}",
+                                 param_hint="'--free'")
+    return free
+
+
 def _load_scene(scene_path, cornell, width, height, theta_text):
     """Scene plus controls from a file path xor the built-in box."""
     if cornell and scene_path is not None:
@@ -228,19 +246,13 @@ def optimize(scene_path, cornell, width, height, spp, seed, max_depth,
         raise click.UsageError("provide exactly one of --target / --target-theta")
     if target_path is not None:
         target = read_pfm(pathlib.Path(target_path).read_bytes())
-    else:
-        truth = _parse_theta_option(target_theta)
-        target = trace_image(scene, truth, spp=spp, seed=seed,
-                             threads=threads, max_depth=max_depth).image
+    else:  # rendered in the optimizer's session, which may replay its paths
+        target = _parse_theta_option(target_theta)
     config = OptimConfig(learning_rate=lr, n_iterations=iterations,
                          regularization=reg, spp=spp, seed=seed,
                          max_depth=max_depth, threads=threads)
     if free_text is not None:
-        free = {int(p) for p in free_text.replace(",", " ").split()}
-        bad = free - set(range(1, N_CONTROLS + 1))
-        if bad:
-            raise click.UsageError(f"controls outside 1..{N_CONTROLS}: {sorted(bad)}")
-        config = config.with_frozen(theta, free)
+        config = config.with_frozen(theta, _parse_free(free_text))
     trajectory = run_optimize(scene, theta, target, config,
                               callback=lambda r: click.echo(
                                   f"iter {r.iteration:4d}  J {r.cost:.9e}  "

@@ -20,6 +20,7 @@ import numpy as np
 
 from .materials import ControlVector, N_CONTROLS
 from .path_engine import DEFAULT_MAX_DEPTH, target_rows
+from .scene_io import ScalarImage
 
 DEFAULT_LOWER = (0.0,) * N_CONTROLS
 # cosine-lobe exponents beyond this sample so tightly the estimator is useless
@@ -119,18 +120,27 @@ def gd_step(theta, grad, config):
 def optimize(scene, theta0, target, config=None, callback=None):
     """Run projected gradient descent; returns the full trajectory.
 
-    The trajectory records cost/gradient at each visited iterate, including
-    the final one (with its gradient evaluated but no step taken).  Raises
-    ValueError for the inputs trace_image rejects, and DivergenceError;
-    either way the session's workers are stopped.
+    ``target`` is the image to match, or a ControlVector to render it from
+    in the run's own session, at the config's settings, quantized to float32
+    like trace_image's image; while its exponents equal the start's, the
+    first iteration re-sweeps the target's paths.  The trajectory records
+    cost/gradient at each visited iterate, including the final one (with its
+    gradient evaluated but no step taken).  Raises ValueError for the inputs
+    trace_image rejects, and DivergenceError; either way the session's
+    workers are stopped.
     """
     from ._wavefront import Session  # loaded on first use, not by `import pathgrad`
 
     config = config or OptimConfig()
-    rows = target_rows(target, scene.camera)
+    cam = scene.camera
+    rows = None if isinstance(target, ControlVector) else target_rows(target, cam)
     theta = ControlVector.from_array(project(theta0.as_array(), config))
     trajectory = OptimTrajectory()
     with Session(scene, config.spp, config.seed, config.threads, config.max_depth) as session:
+        if rows is None:
+            pixels = session.evaluate(target, None, want_grad=False, want_grad_images=False)
+            rows = target_rows(ScalarImage(cam.width, cam.height,
+                                           pixels.pixel_mean.astype(np.float32)), cam)
         for it in range(config.n_iterations + 1):
             cost, grad = total_cost_and_grad(session, theta, rows, config)
             gnorm = float(np.linalg.norm(grad))

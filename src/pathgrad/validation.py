@@ -84,10 +84,17 @@ def _record_of(paths):
 def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
                            max_depth=DEFAULT_MAX_DEPTH, targets=None,
                            label="lattice"):
-    """Freeze one camera path per cell of a grid x grid pixel lattice."""
+    """Freeze one camera path per cell of a grid x grid pixel lattice.
+
+    Raises ValueError unless 1 <= grid <= min(width, height): a finer grid
+    would freeze some pixels twice and weight their paths double.
+    """
+    cam = scene.camera
     if grid < 1:
         raise ValueError(f"lattice grid must be at least 1, got {grid}")
-    cam = scene.camera
+    if grid > min(cam.width, cam.height):
+        raise ValueError(f"lattice grid {grid} exceeds the {cam.width}x{cam.height} image: "
+                         f"at most {min(cam.width, cam.height)} cells per side")
     paths = []
     for j in range(grid):
         for i in range(grid):

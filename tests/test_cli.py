@@ -60,6 +60,10 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
     ["optimize", "--cornell"],                     # no target source
     ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
      "--free", "9"],                               # control out of range
+    ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
+     "--free", "a"],                               # not a control number
+    ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
+     "--free", ""],                                # nothing left to optimize
     ["dump-path", "--cornell", "--pixel", "99,0"],  # outside the raster
     ["dump-path", "--cornell", "--pixel", "zap"],
     ["render", "--cornell", "--spp", "0"],         # no samples
@@ -75,6 +79,8 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
      "--iterations", "-1"],                        # no iterate
     ["validate", "--cornell", "--grid", "0"],      # no frozen path
     ["validate", "--cornell", "--grid", "-3"],
+    ["validate", "--cornell", "--width", "8", "--height", "8",
+     "--grid", "20"],                              # pixels frozen twice
     ["validate", "--cornell", "--eps", "0"],       # no difference step
     ["validate", "--cornell", "--eps", "-1e-4"],
     ["validate", "--cornell", "--eps", "nan"],
@@ -100,6 +106,16 @@ def test_usage_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("free", ["a", "", " , ", "5,x", "0", "9", "5 8"])
+def test_free_errors_name_the_option(free, capsys):
+    assert main(["optimize", *CORNELL_SMALL, "--target-theta", "1,1,1,1,1,1,1",
+                 "--free", free]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'--free'" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_bare_command_shows_help(capsys):

@@ -155,6 +155,12 @@ def test_lattice_and_fd_step_reject_empty_input():
     for grid in (0, -3):
         with pytest.raises(ValueError, match="grid"):
             build_lattice_ensemble(scene, theta, seed=1, grid=grid)
+    assert build_lattice_ensemble(scene, theta, seed=1, grid=4).n_paths == 16
+    # a grid finer than the image would freeze some pixels twice
+    wide, _ = build_cornell_box(8, 4)
+    for grid in (5, 20):
+        with pytest.raises(ValueError, match="exceeds the 8x4 image"):
+            build_lattice_ensemble(wide, theta, seed=1, grid=grid)
     ensemble = build_lattice_ensemble(scene, theta, seed=1, grid=1)
     for eps in (0.0, -1e-4, math.nan, math.inf):
         with pytest.raises(ValueError, match="step"):

@@ -1,12 +1,14 @@
 """Vectorized tracer vs the scalar engine, draw for draw."""
 
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.testing import assert_allclose
 import pytest
 
 from pathgrad import _wavefront
+from pathgrad.geometry import T_MIN, Quad, Ray, Sphere, Vec3, intersect_scene
 from pathgrad.materials import GradientVector, LobeTag, N_CONTROLS
 from pathgrad.optimizer import DivergenceError, OptimConfig, optimize
 from pathgrad.path_engine import (TerminalKind, backward_pass, forward_pass,
@@ -54,6 +56,115 @@ def test_stream_keys_match_scalar():
     draws = uniform(keys, counters)
     for k, c, got in zip(keys, counters, draws):
         assert got == uniform(int(k), int(c))
+
+
+def _unit(*v):
+    v = np.array(v, dtype=np.float64)
+    return tuple(v / np.sqrt(v @ v))
+
+
+def _square(z, material):
+    """The 2x2 square x, y in [-1, 1] at height z; edge coordinates a = (x+1)/2, b = (y+1)/2."""
+    return Quad(Vec3(-1, -1, z), Vec3(2, 0, 0), Vec3(0, 2, 0), material)
+
+
+_EDGE_XY = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
+_OUTSIDE_XY = [(1.0 + 2.0**-51, 0.0), (0.0, -1.0 - 2.0**-52)]  # an edge coordinate just past 1 / 0
+
+# (primitives, rays as (origin, direction)) the nearest-hit search must get
+# right ray by ray; a primitive's material is its index, so the scalar hit's
+# material_id names the primitive it hit
+_HIT_CASES = {
+    "coincident quads": ([_square(1.0, 0), _square(1.0, 1)],
+                         [((0, 0, 0), d) for d in [(0, 0, 1), _unit(0.3, 0.2, 1), (0, 0, -1)]]),
+    "parallel in plane": ([_square(1.0, 0)],
+                          [((0, 0, 1), d) for d in [(1, 0, 0), (0, 1, 0), (0.6, 0.8, 0),
+                                                    (0, 0, 1)]]),
+    "parallel off plane": ([_square(0.01, 0)],
+                           [((0, 0, 0), d) for d in [(1, 0, 0), (0, -1, 0), (0, 0, 1)]]),
+    "tangent sphere": ([Sphere(Vec3(0, 0, 5), 1.0, 0)],
+                       [((1, 0, 0), d) for d in [(0, 0, 1), (0, 0, -1), (1, 0, 0)]]),
+    "origin inside sphere": ([Sphere(Vec3(0, 0, 0), 2.0, 0)],
+                             [((0, 0, 0), d) for d in [(0, 0, 1), (1, 0, 0),
+                                                       _unit(1, 1, 1)]]),
+    "origin on sphere": ([Sphere(Vec3(0, 0, 1), 1.0, 0)],
+                         [((0, 0, 0), d) for d in [(0, 0, 1), (0, 0, -1), _unit(0, 1, 1)]]),
+    "hits at and below T_MIN": ([_square(T_MIN / 2, 0), _square(T_MIN, 1),
+                                 _square(2 * T_MIN, 2)],
+                                [((0, 0, 0), (0, 0, 1))]),
+    # centre and radius picked so that the near root rounds to T_MIN exactly
+    "sphere root at T_MIN": ([Sphere(Vec3(0, 0, 0.00019999999999999963),
+                                     9.999999999999961e-05, 0)],
+                             [((0, 0, 0), (0, 0, 1))]),
+    "edges and corners": ([_square(1.0, 0)],
+                          [((x, y, 0), (0, 0, 1)) for x, y in _EDGE_XY + _OUTSIDE_XY]),
+    "corners from one origin": ([_square(1.0, 0), Sphere(Vec3(3, 0, 2), 1.0, 1)],
+                                [((0, 0, 0), _unit(x, y, 1)) for x, y in _EDGE_XY]
+                                + [((0, 0, 0), _unit(3, 0, 2)), ((0, 0, 0), _unit(2, 3, 2))]),
+}
+
+
+def _reference_hits(prims, rays):
+    scene = SimpleNamespace(primitives=prims)
+    hits = [intersect_scene(Ray(Vec3(*o), Vec3(*d)), scene) for o, d in rays]
+    return (np.array([np.inf if h is None else h.t for h in hits]),
+            np.array([-1 if h is None else h.material_id for h in hits]))
+
+
+def _check_nearest_hits(prims, rays):
+    """_nearest_hits matches intersect_scene exactly, with per-ray and shared origins."""
+    flat = _wavefront._flat_prims(SimpleNamespace(primitives=prims))
+    O = np.array([o for o, _ in rays], dtype=np.float64)
+    D = np.array([d for _, d in rays], dtype=np.float64)
+    t, prim = _wavefront._nearest_hits(flat, O, D)
+    want_t, want_prim = _reference_hits(prims, rays)
+    assert np.array_equal(t, want_t)
+    assert np.array_equal(prim, want_prim)
+    if np.all(O == O[0]):
+        shared_t, shared_prim = _wavefront._nearest_hits(flat, O[0].copy(), D)
+        assert np.array_equal(shared_t, t) and np.array_equal(shared_prim, prim)
+    return t, prim
+
+
+@pytest.mark.parametrize("case", list(_HIT_CASES))
+def test_nearest_hits_match_scalar_intersection(case):
+    prims, rays = _HIT_CASES[case]
+    t, prim = _check_nearest_hits(prims, rays)
+    # each case reaches the boundary it is named after
+    expected = {
+        "coincident quads": ([1.0, None, np.inf], [0, 0, -1]),
+        "parallel in plane": ([np.inf] * 4, [-1] * 4),
+        "parallel off plane": ([np.inf, np.inf, 0.01], [-1, -1, 0]),
+        "tangent sphere": ([5.0, np.inf, np.inf], [0, -1, -1]),
+        "origin inside sphere": ([2.0, 2.0, 2.0], [0, 0, 0]),
+        "origin on sphere": ([2.0, np.inf, None], [0, -1, 0]),
+        "hits at and below T_MIN": ([2 * T_MIN], [2]),
+        "sphere root at T_MIN": ([0.00029999999999999927], [0]),
+        "edges and corners": ([1.0] * 9 + [np.inf] * 2, [0] * 9 + [-1] * 2),
+        "corners from one origin": ([None] * 11, [0] * 9 + [1, -1]),
+    }[case]
+    for got, want in zip(t, expected[0]):
+        if want is not None:
+            assert got == want
+    assert prim.tolist() == expected[1]
+
+
+def test_nearest_hits_match_scalar_intersection_on_random_rays():
+    rng = np.random.default_rng(8)
+    prims = []
+    for i in range(6):
+        c = Vec3(*rng.uniform(-3, 3, 3))
+        if i % 2:
+            prims.append(Sphere(c, float(rng.uniform(0.3, 1.5)), i))
+        else:
+            prims.append(Quad(c, Vec3(*rng.uniform(-2, 2, 3)), Vec3(*rng.uniform(-2, 2, 3)), i))
+    dirs = rng.normal(size=(400, 3))
+    dirs /= np.sqrt((dirs * dirs).sum(axis=1))[:, None]
+    eye = tuple(rng.uniform(-4, 4, 3))
+    _, shared = _check_nearest_hits(prims, [(eye, tuple(d)) for d in dirs])
+    origins = rng.uniform(-4, 4, size=(400, 3))
+    _, own = _check_nearest_hits(prims, [(tuple(o), tuple(d)) for o, d in zip(origins, dirs)])
+    assert len(set(shared.tolist())) > 3 and len(set(own.tolist())) > 3
 
 
 def _scalar_reference(scene, theta, spp, seed, target, max_depth=16):
@@ -301,6 +412,30 @@ def test_optimize_traces_again_only_when_an_exponent_moves(monkeypatch, free, re
     assert len(traj.records) == 5 and len(sessions) == 1
     assert len({r.theta[4] for r in traj.records}) == (5 if retraces else 1)
     assert sessions[0].traces == 2 * (len(traj.records) if retraces else 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_optimize_renders_a_theta_target_in_its_own_session(monkeypatch, threads):
+    scene, theta = build_cornell_box(8, 8)
+    truth = theta.with_control(7, 0.7)
+    start = theta.with_control(7, 0.3)
+    config = OptimConfig(learning_rate=4e-5, n_iterations=3, spp=2, seed=3,
+                         threads=threads).with_frozen(start, {7})
+    image = trace_image(scene, truth, spp=2, seed=3, threads=threads).image
+    want = optimize(scene, start, image, config).to_csv()
+    sessions = []
+
+    class Recording(_wavefront.Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(_wavefront, "Session", Recording)
+    assert optimize(scene, start, truth, config).to_csv() == want
+    # the target and every iterate share the exponents: one trace per chunk
+    assert len(sessions) == 1 and sessions[0].traces == threads
+    with pytest.raises(ValueError, match="must be finite"):
+        optimize(scene, start, truth.with_control(1, np.nan), config)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
