@@ -1,33 +1,26 @@
 """Vectorized tracer, the radiance/adjoint sweeps and the trace session that
 trace_image and the optimizer evaluate through.
 
-``trace_lanes`` traces all (pixel, sample) lanes of an image chunk with
-numpy into a ``PathRecord`` and is draw-for-draw equivalent to the scalar
-engine in path_engine/make_path: every lane owns the same keyed counter
-stream, and draws advance only on lanes that would draw in the scalar code.
-Each depth step gathers the in-flight lanes (path compaction, as in Laine,
-Karras & Aila, HPG 2013) and steps those alone, so ended lanes cost nothing.
-The nearest-hit search reads the rays as x/y/z columns and, per primitive,
-finishes the intersection only on the lanes a cheap first test leaves
-(those that can still hit it nearer than their best hit so far); at depth 0
-every lane starts at the eye, so the origin-only terms are one scalar per
-primitive.  It keeps geometry's association term for term.
-``forward``/``backward`` sweep a record along its ``SweepPlan``; validation
-replays frozen scalar paths through them too.  Tests assert the equivalence
-with the scalar engine.  Formulas on floats or arrays live once and are
-called by both engines: the streams and the lobe height in sampling, the
-per-vertex rules, roulette weight and emitter radiance in materials.  Only
-the Vec3 geometry (intersection, frames, lobe directions) stays twinned
-here on arrays; geometry says why.
+``trace_lanes`` traces (pixel, sample) lanes with numpy into a ``PathRecord``,
+draw for draw like the scalar engine's make_path.  All lane state is 1-D
+x/y/z columns (structure of arrays, as in Laine, Karras & Aila, HPG 2013);
+each depth step gathers the in-flight lanes and steps those alone, and each
+primitive's intersection is finished only on the lanes a cheap first test
+leaves.  Every expression keeps geometry's float association term for term,
+and tests hold the two engines to the same paths.  ``forward``/``backward``
+sweep a record along its ``SweepPlan``; validation replays frozen scalar
+paths through them too.  Formulas on floats or arrays live once, in sampling
+and materials; only the Vec3 geometry stays twinned here, for the reason
+geometry gives.
 
-A ``Session`` splits the pixel range into chunks merged in chunk order, so
+A ``Session`` splits the pixels into chunks merged in chunk order, so
 per-pixel outputs never depend on the worker count and reductions are
-bit-stable for a fixed count.  A path depends on theta only through the
-resolved lobe exponents (roulette reads the fixed ``absorb``, the lobe pick
-``Q_LOBE``), so each chunk keeps its last record and plan where it was
-traced and re-sweeps them while the exponents stay the same (path replay,
-as in Vicini, Speierer & Jakob, SIGGRAPH 2021).  Replay changes no
-arithmetic: its outputs are bit-identical to a fresh trace.
+bit-stable for a fixed count.  Each chunk traces and sweeps its pixels in
+tiles of ``TILE_LANES`` lanes, so lane temporaries stay bounded whatever the
+image size.  A path depends on theta only through the resolved lobe
+exponents, so each tile keeps its record and plan where it was traced and
+re-sweeps them while the exponents stay the same (path replay, as in Vicini,
+Speierer & Jakob, SIGGRAPH 2021), bit-identically to a fresh trace.
 """
 
 from __future__ import annotations
@@ -37,14 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (FRAME_DEGENERATE_EPS, FRAME_HELPER,
-                       FRAME_HELPER_FALLBACK, Sphere, T_MIN)
-from .materials import (LobeTag, MaterialKind, N_CONTROLS, Q_LOBE, emission_partial,
-                        emitter_radiance, roulette_weight, throughput, throughput_partials)
-from .path_engine import _check_at_least_one
+from .geometry import FRAME_DEGENERATE_EPS, FRAME_HELPER, FRAME_HELPER_FALLBACK, Sphere, T_MIN
+from .materials import (ControlVector, LobeTag, MaterialKind, N_CONTROLS, Q_LOBE,
+                        emission_partial, emitter_radiance, roulette_weight, throughput,
+                        throughput_partials)
+from .path_engine import _check_at_least_one, target_rows
 from .sampling import lobe_t, stream_key, uniform
+from .scene_io import ScalarImage
 
 _BINDINGS = ("emission", "ambient", "diffuse", "specular", "exponent")
+# lanes a chunk traces and sweeps at a time: bounds the lane temporaries
+TILE_LANES = 1 << 16
 
 
 @dataclass
@@ -138,52 +134,100 @@ class SweepCache:
     throughput: list
 
 
-def _v3(v):
-    return np.array([v.x, v.y, v.z], dtype=np.float64)
+@dataclass
+class _Prims:
+    """A scene's primitive tables, indexed by primitive and built once per session."""
+
+    shapes: list         # ("quad", corner, eu, ev, n, nn) / ("sphere", c, r)
+    mat: np.ndarray      # material id
+    normal: list         # x/y/z columns of the quad unit normals
+    center: list         # x/y/z columns of the sphere centers
+    radius: np.ndarray   # sphere radius (> 0, as scenes require), 0 for quads
 
 
 def _flat_prims(scene):
-    """("quad", corner, eu, ev, n, nn, unit_n, mat) / ("sphere", c, r, mat) tuples."""
-    prims = []
+    shapes, rows = [], []  # rows: quad unit normal, sphere center and radius
     for p in scene.primitives:
         if isinstance(p, Sphere):
-            prims.append(("sphere", _v3(p.center), float(p.radius), p.material))
+            c = np.array(p.center.as_tuple())
+            shapes.append(("sphere", c, float(p.radius)))
+            rows.append([0.0, 0.0, 0.0, *c, p.radius])
         else:
-            c, eu, ev = _v3(p.corner), _v3(p.edge_u), _v3(p.edge_v)
+            c, eu, ev = (np.array(v.as_tuple()) for v in (p.corner, p.edge_u, p.edge_v))
             n = np.cross(eu, ev)
             nn = float(n @ n)
-            prims.append(("quad", c, eu, ev, n, nn, n / np.sqrt(nn), p.material))
-    return prims
+            shapes.append(("quad", c, eu, ev, n, nn))
+            rows.append([*(n / np.sqrt(nn)), 0.0, 0.0, 0.0, 0.0])
+    cols = list(np.array(rows, dtype=np.float64).reshape(-1, 7).T.copy())
+    return _Prims(shapes, np.array([p.material for p in scene.primitives], dtype=np.int64),
+                  cols[:3], cols[3:6], cols[6])
 
 
-def _dot(a, b):
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+# Vec3.dot and Vec3.cross on x/y/z column triples, term for term
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a, b):
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
+def _cross3(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
-def _make_frames(normal):
-    """Vectorized twin of geometry.make_frame."""
-    z = normal
-    helper = np.array(FRAME_HELPER, dtype=np.float64)
-    c = _cross(z, z + helper[None, :])
-    cn = np.sqrt(_dot(c, c))
-    degenerate = cn < FRAME_DEGENERATE_EPS
-    if np.any(degenerate):
-        helper2 = np.array(FRAME_HELPER_FALLBACK, dtype=np.float64)
-        c2 = _cross(z[degenerate], z[degenerate] + helper2[None, :])
-        c[degenerate] = c2
-        cn[degenerate] = np.sqrt(_dot(c2, c2))
-    y = c / cn[:, None]
-    x = _cross(y, z)
-    x = x / np.sqrt(_dot(x, x))[:, None]
-    return x, y, z
+def _take(columns, idx):
+    return [c[idx] for c in columns]
+
+
+def _frames(z):
+    """Column twin of geometry.make_frame: the x and y axes around unit normals z."""
+    y = _cross3(z, [zk + hk for zk, hk in zip(z, FRAME_HELPER)])
+    cn = np.sqrt(_dot3(y, y))
+    bad = np.flatnonzero(cn < FRAME_DEGENERATE_EPS)
+    if bad.size:
+        zb = _take(z, bad)
+        c2 = _cross3(zb, [zk + hk for zk, hk in zip(zb, FRAME_HELPER_FALLBACK)])
+        for yk, c2k in zip(y, c2):
+            yk[bad] = c2k
+        cn[bad] = np.sqrt(_dot3(c2, c2))
+    y = [yk / cn for yk in y]
+    x = _cross3(y, z)
+    xn = np.sqrt(_dot3(x, x))
+    return [xk / xn for xk in x], y
+
+
+def _camera_rays(cam, pix, jx, jy):
+    """x/y/z columns of the primary-ray directions, as Camera.generate_ray."""
+    sx = (((pix % cam.width).astype(np.float64) + jx) / cam.width * 2.0 - 1.0) * cam.half_w
+    sy = (1.0 - ((pix // cam.width).astype(np.float64) + jy) / cam.height * 2.0) * cam.half_h
+    D = [f + r * sx + u * sy for f, r, u in zip(cam.forward.as_tuple(), cam.right.as_tuple(),
+                                                 cam.upv.as_tuple())]
+    norm = np.sqrt(_dot3(D, D))
+    for c in D:
+        c /= norm
+    return D
+
+
+def _lobe_dirs(z, alpha, u1, u2):
+    """Cosine-power lobe samples around unit normals z, as sampling.sample_cosine_lobe."""
+    x, y = _frames(z)
+    t = lobe_t(alpha, u1)
+    zl, r, phi = np.sqrt(t), np.sqrt(1.0 - t), 2.0 * np.pi * u2
+    a, b = np.cos(phi) * r, np.sin(phi) * r
+    return [xk * a + yk * b + zk * zl for xk, yk, zk in zip(x, y, z)]
+
+
+def _reflect(out, inc, normal, spec):
+    """sampling.sample_phong_reflection, in place, on the lanes ``spec`` of the lobe
+    samples ``out``, incoming from ``inc``; True where they fell below the horizon."""
+    nrm, m = _take(normal, spec), _take(out, spec)
+    m_in = _dot3(m, inc)
+    turn = m_in < 0.0  # m is turned into the incoming hemisphere
+    if turn.any():
+        mn = _dot3(m, nrm)
+        m = [np.where(turn, nk * (2.0 * mn) - mk, mk) for mk, nk in zip(m, nrm)]
+        m_in = _dot3(m, inc)
+    refl = [mk * (2.0 * m_in) - ik for mk, ik in zip(m, inc)]
+    for ok, rk in zip(out, refl):
+        ok[spec] = rk  # a below-horizon lane's direction is never used
+    return _dot3(refl, nrm) <= 0.0
 
 
 def _draw(key, counter):
@@ -192,98 +236,73 @@ def _draw(key, counter):
     return uniform(key, counter)
 
 
-def _nearest_hits(prims, O, D):
+def _sphere_hits(c, r, O, Dx, Dy, Dz, best_t):
+    """Rays that hit sphere (c, r) nearer than ``best_t``, and their t."""
+    ocx, ocy, ocz = O[0] - c[0], O[1] - c[1], O[2] - c[2]
+    b = ocx * Dx + ocy * Dy + ocz * Dz
+    disc = b * b - (ocx * ocx + ocy * ocy + ocz * ocz - r * r)
+    idx = np.flatnonzero(disc >= 0.0)
+    b = b[idx]
+    s = np.sqrt(disc[idx])
+    t1 = -b - s
+    t = np.where(t1 > T_MIN, t1, -b + s)
+    win = (t > T_MIN) & (t < best_t[idx])
+    return idx[win], t[win]
+
+
+def _quad_hits(corner, eu, ev, nrm, nn, O, Dx, Dy, Dz, best_t):
+    """Rays that hit the quad nearer than ``best_t``, and their t."""
+    (cx, cy, cz), (nx, ny, nz) = corner, nrm
+    t = Dx * nx + Dy * ny + Dz * nz  # the denominator, divided into in place
+    t[t == 0.0] = np.nan  # rays parallel to the plane miss it
+    np.divide((cx - O[0]) * nx + (cy - O[1]) * ny + (cz - O[2]) * nz, t, out=t)
+    idx = np.flatnonzero((t > T_MIN) & (t < best_t))
+    t = t[idx]
+    ox, oy, oz = O if np.ndim(O[0]) == 0 else _take(O, idx)
+    wx = ox + t * Dx[idx] - cx  # w = hit point - corner
+    wy = oy + t * Dy[idx] - cy
+    wz = oz + t * Dz[idx] - cz
+    # (w x e_v).n and (e_u x w).n, term for term as Vec3.cross then Vec3.dot
+    (ux, uy, uz), (vx, vy, vz) = eu, ev
+    a = ((wy * vz - wz * vy) * nx + (wz * vx - wx * vz) * ny + (wx * vy - wy * vx) * nz) / nn
+    b = ((uy * wz - uz * wy) * nx + (uz * wx - ux * wz) * ny + (ux * wy - uy * wx) * nz) / nn
+    win = (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
+    return idx[win], t[win]
+
+
+def _nearest_hits(prims, O, Dx, Dy, Dz):
     """(t, primitive index or -1) of each ray's nearest hit, first-declared on ties.
 
-    ``D`` holds one direction per ray, (N, 3).  ``O`` is either one origin
-    shared by every ray, a (3,) vector (the camera eye, at depth 0), or one
-    origin per ray, (N, 3); the caller says which by the shape it passes.
-    A shared origin makes the origin-only terms (the sphere's ``oc`` and
-    ``oc.oc - r^2``, the quad's ``(corner - O).n``) one scalar per
-    primitive.  Rays are read as contiguous x/y/z columns.  Each primitive
-    first runs a cheap test on every ray (sphere: the discriminant; quad:
-    the plane distance, beyond T_MIN and nearer than the best hit so far),
-    then finishes the survivors alone.  Every per-ray expression keeps the
-    association of geometry.intersect_sphere / intersect_quad, so results
-    are bit-identical to the scalar reference.
+    ``Dx, Dy, Dz`` are the directions' columns.  ``O`` is one origin every ray
+    shares, three floats (the eye, at depth 0), which makes the origin-only
+    terms one scalar per primitive; or one origin per ray, three columns.
+    Each primitive finishes only the rays a cheap test leaves (sphere: the
+    discriminant; quad: the plane distance, beyond T_MIN and nearer than the
+    best hit so far), bit-identically to intersect_scene.
     """
-    n = D.shape[0]
-    Dx, Dy, Dz = np.ascontiguousarray(D.T)
-    shared = O.ndim == 1
-    if shared:
-        Ox, Oy, Oz = (float(v) for v in O)
-    else:
-        Ox, Oy, Oz = np.ascontiguousarray(O.T)
-    best_t = np.full(n, np.inf)
-    best_prim = np.full(n, -1, dtype=np.int64)
-    for i, prim in enumerate(prims):
-        if prim[0] == "sphere":
-            _, c, r, _m = prim
-            ocx, ocy, ocz = Ox - c[0], Oy - c[1], Oz - c[2]
-            b = ocx * Dx + ocy * Dy + ocz * Dz
-            cq = ocx * ocx + ocy * ocy + ocz * ocz - r * r
-            disc = b * b - cq
-            idx = np.flatnonzero(disc >= 0.0)
-            if not idx.size:
-                continue
-            b = b[idx]
-            s = np.sqrt(disc[idx])
-            t1 = -b - s
-            t = np.where(t1 > T_MIN, t1, -b + s)
-            win = (t > T_MIN) & (t < best_t[idx])
-        else:
-            _, corner, eu, ev, nrm, nn, _un, _m = prim
-            cx, cy, cz = corner
-            nx, ny, nz = nrm
-            denom = Dx * nx + Dy * ny + Dz * nz
-            ok = denom != 0.0  # rays parallel to the plane miss it
-            num = (cx - Ox) * nx + (cy - Oy) * ny + (cz - Oz) * nz
-            t = num / np.where(ok, denom, 1.0)
-            idx = np.flatnonzero(ok & (t > T_MIN) & (t < best_t))
-            if not idx.size:
-                continue
-            t = t[idx]
-            ox, oy, oz = (Ox, Oy, Oz) if shared else (Ox[idx], Oy[idx], Oz[idx])
-            wx = ox + t * Dx[idx] - cx  # w = hit point - corner
-            wy = oy + t * Dy[idx] - cy
-            wz = oz + t * Dz[idx] - cz
-            # (w x e_v).n and (e_u x w).n, term for term as Vec3.cross then Vec3.dot
-            ux, uy, uz = eu
-            vx, vy, vz = ev
-            a = ((wy * vz - wz * vy) * nx + (wz * vx - wx * vz) * ny
-                 + (wx * vy - wy * vx) * nz) / nn
-            bq = ((uy * wz - uz * wy) * nx + (uz * wx - ux * wz) * ny
-                  + (ux * wy - uy * wx) * nz) / nn
-            win = (a >= 0.0) & (a <= 1.0) & (bq >= 0.0) & (bq <= 1.0)
-        best_t[idx[win]] = t[win]
-        best_prim[idx[win]] = i
+    best_t = np.full(Dx.shape[0], np.inf)
+    best_prim = np.full(Dx.shape[0], -1, dtype=np.int64)
+    for i, (shape, *geometry) in enumerate(prims.shapes):
+        hits = _sphere_hits if shape == "sphere" else _quad_hits
+        idx, t = hits(*geometry, O, Dx, Dy, Dz, best_t)
+        best_t[idx] = t
+        best_prim[idx] = i
     return best_t, best_prim
 
 
 def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
     """Trace one lane per (pixel, sample); returns (PathRecord, vertex count).
 
-    Mirrors make_path exactly, draw for draw.  Of the materials it reads
-    only ``kind``, ``absorb`` and the resolved ``exponent`` per material id,
-    and only the exponent depends on theta.  ``lane`` holds the global
-    index of each in-flight lane; its origin, direction, stream key and
-    counter are gathered alongside and its results scattered back by index.
+    Mirrors make_path exactly, draw for draw.  Of the materials it reads only
+    ``kind``, ``absorb`` and the resolved ``exponent`` per material id, and only
+    the exponent depends on theta.  ``lane`` holds each in-flight lane's index;
+    its key, counter, origin and direction columns are gathered alongside.
     """
     n_lanes = pix.shape[0]
     key = stream_key(seed, pix.astype(np.uint64), smp.astype(np.uint64))
     counter = np.zeros(n_lanes, dtype=np.uint64)
-    jx = _draw(key, counter)
-    jy = _draw(key, counter)
-    W, H = cam.width, cam.height
-    px = (pix % W).astype(np.float64)
-    py = (pix // W).astype(np.float64)
-    sx = (px + jx) / W * 2.0 - 1.0
-    sy = 1.0 - (py + jy) / H * 2.0
-    D = (_v3(cam.forward)[None, :]
-         + _v3(cam.right)[None, :] * (sx * cam.half_w)[:, None]
-         + _v3(cam.upv)[None, :] * (sy * cam.half_h)[:, None])
-    D = D / np.sqrt(_dot(D, D))[:, None]
-    O = _v3(cam.eye)  # every lane starts at the eye: one shared origin until depth 1
+    D = _camera_rays(cam, pix, _draw(key, counter), _draw(key, counter))  # jitter x, then y
+    O = cam.eye.as_tuple()  # every lane starts at the eye: one shared origin until depth 1
     lane = np.arange(n_lanes)
     n_vertices = 0
     ids = id_dtype(kind.shape[0])
@@ -294,88 +313,64 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
     v_u1 = np.zeros((max_depth, n_lanes), dtype=np.float64)
 
     for d in range(max_depth):
-        best_t, best_prim = _nearest_hits(prims, O, D)
-        hit = best_prim >= 0  # the others escaped
-        if not np.any(hit):
+        t, prim = _nearest_hits(prims, O, *D)
+        idx = np.flatnonzero(prim >= 0)  # the others escaped
+        if not idx.size:
             break
-        lane, key, counter, D = lane[hit], key[hit], counter[hit], D[hit]
-        best_prim = best_prim[hit]
-        if O.ndim == 2:  # the shared eye needs no gather
-            O = O[hit]
-
-        point = O + best_t[hit][:, None] * D
-        normal = np.empty_like(point)
-        mat = np.empty(lane.shape[0], dtype=np.int64)
-        for i, prim in enumerate(prims):
-            sel = best_prim == i
-            if not np.any(sel):
-                continue
-            if prim[0] == "sphere":
-                _, c, r, m = prim
-                normal[sel] = (point[sel] - c[None, :]) / r
-            else:
-                m = prim[7]
-                normal[sel] = prim[6][None, :]
-            mat[sel] = m
-        flip = _dot(normal, D) > 0.0
-        normal[flip] = -normal[flip]
+        lane, key, counter, t, prim = (a[idx] for a in (lane, key, counter, t, prim))
+        D = _take(D, idx)
+        if d:  # the shared eye needs no gather
+            O = _take(O, idx)
+        point = [o + t * c for o, c in zip(O, D)]
+        normal = _take(prims.normal, prim)  # quads; each sphere lane gets (p - c) / r
+        sph = np.flatnonzero(prims.radius[prim] > 0.0)
+        ps = prim[sph]
+        for nk, pk, ck in zip(normal, point, prims.center):
+            nk[sph] = (pk[sph] - ck[ps]) / prims.radius[ps]
+        flip = _dot3(normal, D) > 0.0  # turned toward the ray origin, as geometry does
+        for nk in normal:
+            np.negative(nk, out=nk, where=flip)
+        mat = prims.mat[prim]
         n_vertices += lane.shape[0]
 
         terminal = _draw(key, counter) < absorb[mat]
         is_em = terminal & (kind[mat] == MaterialKind.EMITTER)
         term_mat[lane[is_em]] = mat[is_em]
 
-        surviving = ~terminal
-        if d + 1 >= max_depth or not np.any(surviving):
+        idx = np.flatnonzero(~terminal)
+        if d + 1 >= max_depth or not idx.size:
             break  # the rest end here, at the depth cap or by roulette
-        lane, key, counter, D = lane[surviving], key[surviving], counter[surviving], D[surviving]
-        point, normal, mat = point[surviving], normal[surviving], mat[surviving]
+        lane, key, counter, mat = lane[idx], key[idx], counter[idx], mat[idx]
+        for cols in (D, point, normal):
+            cols[:] = _take(cols, idx)
 
         is_phong = kind[mat] == MaterialKind.PHONG
         counter += is_phong  # only glossy vertices draw the lobe pick
         specular = is_phong & (uniform(key, counter) < Q_LOBE)
         u1 = _draw(key, counter)
         u2 = _draw(key, counter)
-
-        fx, fy, fz = _make_frames(normal)
-        alpha = np.where(specular, exponent[mat], 0.0)
-        t_pow = lobe_t(alpha, u1)
-        zloc = np.sqrt(t_pow)
-        rloc = np.sqrt(1.0 - t_pow)
-        phi = 2.0 * np.pi * u2
-        a_loc = np.cos(phi) * rloc
-        b_loc = np.sin(phi) * rloc
-        dir_out = fx * a_loc[:, None] + fy * b_loc[:, None] + fz * zloc[:, None]
-
+        spec = np.flatnonzero(specular)
+        inc = [-c[spec] for c in D]  # all the sampling reads of the incoming rays
+        del D, t, prim, sph, ps, flip  # freed before the step's largest set of lane arrays
+        O, D = point, _lobe_dirs(normal, np.where(specular, exponent[mat], 0.0), u1, u2)
         below = np.zeros(lane.shape[0], dtype=bool)
-        if np.any(specular):
-            inc = -D
-            m_spec = dir_out.copy()
-            mdot_in = _dot(m_spec, inc)
-            flip_m = specular & (mdot_in < 0.0)
-            if np.any(flip_m):
-                mn = _dot(m_spec, normal)
-                m_spec[flip_m] = (normal[flip_m] * (2.0 * mn[flip_m])[:, None]
-                                  - m_spec[flip_m])
-                mdot_in = _dot(m_spec, inc)
-            out = m_spec * (2.0 * mdot_in)[:, None] - inc
-            below = specular & (_dot(out, normal) <= 0.0)
-            sel = specular & ~below
-            dir_out[sel] = out[sel]
+        below[spec] = _reflect(D, inc, normal, spec)
 
         v_mat[d, lane] = mat
         v_u1[d, lane] = u1
         v_tag[d, lane] = np.where(specular, LobeTag.SPECULAR,
                                   np.where(is_phong, LobeTag.DIFFUSE, LobeTag.LAMBERT_ONLY))
-
-        cont = ~below  # below-horizon samples end the path
-        lane, key, counter = lane[cont], key[cont], counter[cont]
-        O, D = point[cont], dir_out[cont]
+        if below.any():  # below-horizon samples end the path
+            idx = np.flatnonzero(~below)
+            lane, key, counter = lane[idx], key[idx], counter[idx]
+            for cols in (O, D):
+                cols[:] = _take(cols, idx)
         n_cont[lane] = d + 1
 
     depth = int(n_cont.max()) if n_lanes else 0
-    record = PathRecord(n_cont=n_cont, term_mat=term_mat, v_mat=v_mat[:depth],
-                        v_tag=v_tag[:depth], v_u1=v_u1[:depth])
+    # copies, so a record holds the rows its paths reach, not max_depth of them
+    record = PathRecord(n_cont=n_cont, term_mat=term_mat, v_mat=v_mat[:depth].copy(),
+                        v_tag=v_tag[:depth].copy(), v_u1=v_u1[:depth].copy())
     return record, n_vertices
 
 
@@ -445,64 +440,62 @@ def backward(record, cache, adjoint):
     return g
 
 
-@dataclass
-class _ChunkResult:
-    pixel_sum: np.ndarray
-    n_verts_total: int
-    cost: float
-    grad: np.ndarray
-    grad_pixel: np.ndarray | None
-    traced: bool           # False when the chunk replayed its cached record
-
-
 class _Chunk:
-    """One pixel range: what tracing it takes, and its last record and plan.
+    """One pixel range, traced and swept in turn in tiles of ``max(1, TILE_LANES //
+    spp)`` whole pixels, and each tile's record and plan.
 
-    Lives in the process that traces it.  The record is keyed by the bytes
-    of the exponents it was traced at; ``kind`` and ``absorb`` are fixed by
-    the scene, so an evaluation at the same key re-sweeps the record and
-    one at another key traces the chunk again and replaces it.
+    Lives in the process that traces it.  The records are keyed by the bytes
+    of the exponents they were traced at (``kind`` and ``absorb`` are fixed by
+    the scene): an evaluation at that key re-sweeps every tile's record, one
+    at another key traces every tile again.
     """
 
     def __init__(self, prims, cam, pixels, spp, seed, max_depth):
         self.prims, self.cam, self.pixels = prims, cam, pixels
         self.spp, self.seed, self.max_depth = spp, seed, max_depth
-        self.key = self.record = self.plan = None
-        self.n_vertices = 0
+        per, n = max(1, TILE_LANES // spp), pixels.shape[0]
+        self.tiles = [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
+        self.key, self.traced = None, []  # (record, plan, vertex count) per tile
 
-    def evaluate(self, mats, targets, want_grad, want_grad_images):
-        npix, spp = self.pixels.shape[0], self.spp
-        exponent = mats.value["exponent"]
-        traced = exponent.tobytes() != self.key
-        if traced:
-            self.key = self.record = self.plan = None  # hold one record at a time
-            pix = np.repeat(self.pixels, spp)
-            smp = np.tile(np.arange(spp, dtype=np.int64), npix)
-            self.record, self.n_vertices = trace_lanes(
-                self.prims, self.cam, mats.kind, mats.absorb, exponent, self.seed,
-                pix, smp, self.max_depth)
-            self.plan = sweep_plan(self.record)
-            self.key = exponent.tobytes()
-        radiance, cache = forward(self.record, mats, self.plan)
-        pixel_sum = radiance.reshape(npix, spp).sum(axis=1)
-
-        cost = 0.0
-        grad = np.zeros(N_CONTROLS)
-        grad_pixel = None
-        if want_grad:
+    def _sweep(self, record, plan, tile, mats, targets, pixel_sum, resid, grad_pixel):
+        """Writes one tile's pixel sums and, with ``resid``, its residuals and gradients."""
+        spp = self.spp
+        radiance, cache = forward(record, mats, plan)
+        pixel_sum[tile] = radiance.reshape(-1, spp).sum(axis=1)
+        if resid is not None:
             # the cost compares stored images, so quantize means to float32 first;
             # a target rendered at identical settings then has exactly zero residual
-            mean32 = (pixel_sum / spp).astype(np.float32).astype(np.float64)
-            resid = mean32 - targets
-            cost = float(0.5 * (resid @ resid))
-            g_lane = backward(self.record, cache, np.repeat(resid / spp, spp))
-            grad_pixel_full = g_lane.reshape(N_CONTROLS, npix, spp).sum(axis=2)
-            grad = grad_pixel_full.sum(axis=1)
-            if want_grad_images:
-                grad_pixel = grad_pixel_full
+            mean32 = (pixel_sum[tile] / spp).astype(np.float32).astype(np.float64)
+            resid[tile] = mean32 - targets[tile]
+            g_lane = backward(record, cache, np.repeat(resid[tile] / spp, spp))
+            grad_pixel[:, tile] = g_lane.reshape(N_CONTROLS, -1, spp).sum(axis=2)
 
-        return _ChunkResult(pixel_sum=pixel_sum, n_verts_total=self.n_vertices,
-                            cost=cost, grad=grad, grad_pixel=grad_pixel, traced=traced)
+    def evaluate(self, mats, targets, want_grad, want_grad_images):
+        """(pixel sums, vertices, cost, grad, per-pixel grad or None, traced)."""
+        key, spp = mats.value["exponent"].tobytes(), self.spp
+        traced = key != self.key
+        if traced:
+            self.key, self.traced = None, []  # hold one set of records at a time
+        npix = self.pixels.shape[0]
+        pixel_sum = np.empty(npix)
+        resid = np.empty(npix) if want_grad else None
+        grad_pixel = np.empty((N_CONTROLS, npix)) if want_grad else None
+        for i, tile in enumerate(self.tiles):
+            if traced:
+                pixels = self.pixels[tile]
+                record, n_vertices = trace_lanes(
+                    self.prims, self.cam, mats.kind, mats.absorb, mats.value["exponent"],
+                    self.seed, np.repeat(pixels, spp),
+                    np.tile(np.arange(spp, dtype=np.int64), pixels.shape[0]), self.max_depth)
+                self.traced.append((record, sweep_plan(record), n_vertices))
+            record, plan, _ = self.traced[i]
+            self._sweep(record, plan, tile, mats, targets, pixel_sum, resid, grad_pixel)
+        self.key = key
+        # reduced over the whole chunk, whatever its tiles
+        cost = float(0.5 * (resid @ resid)) if want_grad else 0.0
+        grad = grad_pixel.sum(axis=1) if want_grad else np.zeros(N_CONTROLS)
+        return (pixel_sum, sum(n for _, _, n in self.traced), cost, grad,
+                grad_pixel if want_grad_images else None, traced)
 
 
 def _serve(conn, chunks):
@@ -530,20 +523,21 @@ class TraceResult:
 class Session:
     """Evaluations of one scene at one spp, seed and depth cap, many thetas.
 
-    The scene is flattened once and its pixel range split into
-    min(threads, pixels) chunks.  With more than one chunk the first
-    evaluation starts one worker process per pool slot, and worker ``w``
-    owns chunks ``w, w + n, ...`` for the life of the session, so each
-    chunk's record stays in the process that traced it and only the
-    resolved material table, the target slices and the results cross the
-    pipes.  ``traces`` counts chunk traces; an evaluation whose exponents
-    match a chunk's record replays it instead.  Use as a context manager,
-    or call ``close``, to stop the workers.
+    The scene is flattened once into primitive tables and its pixel range
+    split into min(threads, pixels) chunks, each traced and swept in tiles
+    of ``TILE_LANES`` lanes.  With more than one chunk the first evaluation
+    starts one worker process per pool slot, and worker ``w`` owns chunks
+    ``w, w + n, ...`` for the life of the session, so each tile's record
+    stays in the process that traced it and only the resolved material
+    table, the target slices and the results cross the pipes.  ``traces``
+    counts chunk traces (every tile of the chunk); an evaluation whose
+    exponents match a chunk's records replays them instead.  Use as a
+    context manager, or call ``close``, to stop the workers.
     """
 
     def __init__(self, scene, spp, seed, threads, max_depth):
         _check_at_least_one(spp=spp, max_depth=max_depth, threads=threads)
-        self.materials = list(scene.materials)
+        self.materials, self.camera = list(scene.materials), scene.camera
         self.width, self.height, self.spp = scene.camera.width, scene.camera.height, spp
         npix = self.width * self.height
         n_chunks = min(threads, npix)
@@ -565,10 +559,9 @@ class Session:
     def _start(self):
         # imported here so that `import pathgrad` does not pay for it
         import multiprocessing
-        # fork, not spawn: the session's process starts no threads of its own,
-        # and a spawned worker re-imports numpy and pathgrad: starting two took
-        # ~0.4 s on a 2-core host against ~0.01 s forked, a cost every one-shot
-        # trace with workers would pay
+        # fork, not spawn: the session's process starts no threads of its own, and a
+        # spawned worker re-imports numpy and pathgrad: starting two took ~0.4 s on a
+        # 2-core host against ~0.01 s forked, a cost every one-shot trace would pay
         ctx = multiprocessing.get_context("fork")
         n = self._n_workers
         for w in range(n):
@@ -611,24 +604,29 @@ class Session:
         flat = target_rows.reshape(-1) if target_rows is not None else None
         jobs = [(mats, flat[lo:hi] if flat is not None else None, want_grad,
                  want_grad_images) for lo, hi in zip(self._bounds, self._bounds[1:])]
-        results = self._run(jobs)
-        self.traces += sum(r.traced for r in results)
-
-        pixel_sum = np.concatenate([r.pixel_sum for r in results])
+        pixel_sums, n_verts, costs, grads, grad_pixels, traced = zip(*self._run(jobs))
+        self.traces += sum(traced)
         cost = 0.0
         grad = np.zeros(N_CONTROLS)
-        for r in results:  # fixed chunk order -> bit-stable reduction
-            cost += r.cost
-            grad += r.grad
+        for c, g in zip(costs, grads):  # fixed chunk order -> bit-stable reduction
+            cost += c
+            grad += g
+        shape = (self.height, self.width)
         grad_images = None
         if want_grad and want_grad_images:
-            grad_images = np.concatenate([r.grad_pixel for r in results],
-                                         axis=1).reshape(N_CONTROLS, self.height, self.width)
-        total_verts = sum(r.n_verts_total for r in results)
-        return TraceResult(pixel_mean=(pixel_sum / self.spp).reshape(self.height, self.width),
+            grad_images = np.concatenate(grad_pixels, axis=1).reshape(N_CONTROLS, *shape)
+        return TraceResult(pixel_mean=(np.concatenate(pixel_sums) / self.spp).reshape(shape),
                            cost=cost, grad=grad,
-                           mean_depth=total_verts / (self._bounds[-1] * self.spp),
+                           mean_depth=sum(n_verts) / (self._bounds[-1] * self.spp),
                            grad_images=grad_images)
+
+    def render_target(self, theta):
+        """Target rows of the image at theta: rendered in this session (so an
+        evaluation at the same exponents replays its paths), quantized through
+        float32 like trace_image's image and checked by path_engine.target_rows."""
+        pixel_mean = self.evaluate(theta, None, False, False).pixel_mean
+        return target_rows(ScalarImage(self.width, self.height,
+                                       pixel_mean.astype(np.float32)), self.camera)
 
     def close(self):
         """Stop the workers; a later evaluation starts new ones and traces again."""
@@ -646,8 +644,10 @@ class Session:
             conn.close()
 
 
-def trace(scene, theta, spp, seed, target_rows, want_grad, threads, max_depth,
-          want_grad_images):
-    """One evaluation in a one-shot Session; see Session.evaluate."""
+def trace(scene, theta, spp, seed, target, want_grad, threads, max_depth, want_grad_images):
+    """One evaluation in a one-shot Session; see Session.evaluate.  A
+    ControlVector ``target`` is rendered in that session first (render_target)."""
     with Session(scene, spp, seed, threads, max_depth) as session:
-        return session.evaluate(theta, target_rows, want_grad, want_grad_images)
+        if isinstance(target, ControlVector):
+            target = session.render_target(target)
+        return session.evaluate(theta, target, want_grad, want_grad_images)

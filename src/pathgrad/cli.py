@@ -161,11 +161,11 @@ def gradients(scene_path, cornell, width, height, spp, seed, max_depth,
     scene, theta = _load_scene(scene_path, cornell, width, height, theta_text)
     if (target_path is not None) == target_self:
         raise click.UsageError("provide exactly one of --target / --target-self")
-    if target_self:
-        truth = (_parse_theta_option(target_theta)
-                 if target_theta is not None else theta)
-        target = trace_image(scene, truth, spp=spp, seed=seed, threads=threads,
-                             max_depth=max_depth).image
+    if target_theta is not None and not target_self:
+        raise click.UsageError("--target-theta needs --target-self")
+    if target_self:  # rendered in the session that then differentiates
+        target = (_parse_theta_option(target_theta)
+                  if target_theta is not None else theta)
     else:
         target = read_pfm(pathlib.Path(target_path).read_bytes())
     result = trace_image(scene, theta, spp=spp, seed=seed, threads=threads,

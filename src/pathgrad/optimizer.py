@@ -20,7 +20,6 @@ import numpy as np
 
 from .materials import ControlVector, N_CONTROLS
 from .path_engine import DEFAULT_MAX_DEPTH, target_rows
-from .scene_io import ScalarImage
 
 DEFAULT_LOWER = (0.0,) * N_CONTROLS
 # cosine-lobe exponents beyond this sample so tightly the estimator is useless
@@ -132,15 +131,12 @@ def optimize(scene, theta0, target, config=None, callback=None):
     from ._wavefront import Session  # loaded on first use, not by `import pathgrad`
 
     config = config or OptimConfig()
-    cam = scene.camera
-    rows = None if isinstance(target, ControlVector) else target_rows(target, cam)
+    rows = None if isinstance(target, ControlVector) else target_rows(target, scene.camera)
     theta = ControlVector.from_array(project(theta0.as_array(), config))
     trajectory = OptimTrajectory()
     with Session(scene, config.spp, config.seed, config.threads, config.max_depth) as session:
         if rows is None:
-            pixels = session.evaluate(target, None, want_grad=False, want_grad_images=False)
-            rows = target_rows(ScalarImage(cam.width, cam.height,
-                                           pixels.pixel_mean.astype(np.float32)), cam)
+            rows = session.render_target(target)
         for it in range(config.n_iterations + 1):
             cost, grad = total_cost_and_grad(session, theta, rows, config)
             gnorm = float(np.linalg.norm(grad))

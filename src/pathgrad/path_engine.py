@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import Hit, Ray, intersect_scene
-from .materials import (GradientVector, LobeTag, Material, MaterialKind,
+from .materials import (ControlVector, GradientVector, LobeTag, Material, MaterialKind,
                         accumulate_gradients, ambient_of, bsdf_d_pdf, emitted,
                         roulette_weight, sample_direction)
 from .sampling import RngStream
@@ -205,17 +205,22 @@ def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
     gradients requested, each pixel contributes 0.5 * (mean - target)^2 to the
     cost and every sample's backward pass is seeded with the per-pixel
     adjoint (mean - target) / spp, the exact derivative of that cost with
-    respect to the sample's radiance.  Outputs are bit-stable for a fixed
-    worker count; per-pixel values do not depend on the worker count at all.
-    Raises ValueError for spp, max_depth or threads below 1, a target that
-    target_rows rejects, or controls outside the domain material_table
-    accepts.
+    respect to the sample's radiance.  A ControlVector ``target`` is the
+    image rendered at those controls in the same trace session, which
+    replays its paths while the lobe exponents match theta's.  Outputs are
+    bit-stable for a fixed worker count; per-pixel values do not depend on
+    the worker count at all.  Raises ValueError for spp, max_depth or
+    threads below 1, a target that target_rows rejects, or controls outside
+    the domain material_table accepts.
     """
     from . import _wavefront
 
     cam = scene.camera
-    rows = target_rows(target, cam) if compute_gradients else None
-    result = _wavefront.trace(scene, theta, spp, seed, rows, compute_gradients,
+    if not compute_gradients:
+        target = None
+    elif not isinstance(target, ControlVector):
+        target = target_rows(target, cam)
+    result = _wavefront.trace(scene, theta, spp, seed, target, compute_gradients,
                               threads, max_depth, want_grad_images)
     image = ScalarImage(cam.width, cam.height,
                         result.pixel_mean.astype(np.float32))

@@ -98,9 +98,14 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
      "--reg", "nan"],
     ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
      "--reg", "-inf"],
+    ["gradients", "--cornell", "--width", "8", "--height", "8", "--spp", "1",
+     "--target", "t8.pfm", "--target-theta", "1,2,3"],  # controls for no self target
 ])
 def test_usage_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    # a valid target file, so an argv naming it fails for its own reason
+    zero = ScalarImage(8, 8, np.zeros((8, 8), np.float32))
+    (tmp_path / "t8.pfm").write_bytes(write_pfm(zero))
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -191,6 +196,53 @@ def test_gradients_self_target_is_exactly_zero(tmp_path, capsys):
         assert (tmp_path / ("g" + suffix)).exists()
     g1 = read_pfm((tmp_path / "g1.pfm").read_bytes())
     assert np.all(g1.data == 0.0)
+
+
+def test_target_theta_needs_target_self(tmp_path, capsys):
+    target = tmp_path / "t8.pfm"
+    target.write_bytes(write_pfm(ScalarImage(8, 8, np.zeros((8, 8), np.float32))))
+    assert main(["gradients", *CORNELL_SMALL, "--target", str(target),
+                 "--target-theta", "1,.1,.6,.4,20,.1,.7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --target-theta needs --target-self\n"
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("truth, traces_per_chunk", [
+    (None, 1),                          # the current theta
+    ("1,.1,.6,.4,20,.1,.9", 1),         # another wall diffuse: the same paths
+    ("1,.1,.6,.4,35,.1,.7", 2),         # another exponent: other paths
+])
+def test_gradients_self_target_renders_in_the_gradient_session(
+        monkeypatch, tmp_path, capsys, threads, truth, traces_per_chunk):
+    from pathgrad import _wavefront
+    sessions = []
+
+    class Recording(_wavefront.Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(_wavefront, "Session", Recording)
+    argv = ["gradients", *CORNELL_SMALL, "--threads", str(threads), "--target-self"]
+    argv += ["--target-theta", truth] if truth else []
+    assert main([*argv, "-o", str(tmp_path / "g")]) == 0
+    assert len(sessions) == 1 and sessions[0].traces == traces_per_chunk * threads
+    # the same figures as a target rendered in its own run
+    monkeypatch.undo()
+    target = tmp_path / "t"
+    assert main(["render", *CORNELL_SMALL, "--threads", str(threads),
+                 *(["--theta", truth] if truth else []), "-o", str(target)]) == 0
+    capsys.readouterr()
+    assert main(["gradients", *CORNELL_SMALL, "--threads", str(threads),
+                 "--target", str(tmp_path / "t.pfm"), "-o", str(tmp_path / "h")]) == 0
+    want = capsys.readouterr().out.replace(str(tmp_path / "h"), str(tmp_path / "g"))
+    assert main([*argv, "-o", str(tmp_path / "g")]) == 0
+    assert capsys.readouterr().out == want
+    for suffix in [".pfm"] + [f"{k}.pfm" for k in range(1, 8)]:
+        assert ((tmp_path / ("g" + suffix)).read_bytes()
+                == (tmp_path / ("h" + suffix)).read_bytes())
 
 
 def test_gradients_against_target_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Vectorized tracer vs the scalar engine, draw for draw."""
 
 import multiprocessing
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,8 @@ from numpy.testing import assert_allclose
 import pytest
 
 from pathgrad import _wavefront
-from pathgrad.geometry import T_MIN, Quad, Ray, Sphere, Vec3, intersect_scene
+from pathgrad.geometry import (FRAME_DEGENERATE_EPS, FRAME_HELPER, T_MIN, Quad, Ray, Sphere,
+                               Vec3, intersect_scene, make_frame)
 from pathgrad.materials import GradientVector, LobeTag, N_CONTROLS
 from pathgrad.optimizer import DivergenceError, OptimConfig, optimize
 from pathgrad.path_engine import (TerminalKind, backward_pass, forward_pass,
@@ -116,12 +118,13 @@ def _check_nearest_hits(prims, rays):
     flat = _wavefront._flat_prims(SimpleNamespace(primitives=prims))
     O = np.array([o for o, _ in rays], dtype=np.float64)
     D = np.array([d for _, d in rays], dtype=np.float64)
-    t, prim = _wavefront._nearest_hits(flat, O, D)
+    t, prim = _wavefront._nearest_hits(flat, tuple(O.T.copy()), *D.T.copy())
     want_t, want_prim = _reference_hits(prims, rays)
     assert np.array_equal(t, want_t)
     assert np.array_equal(prim, want_prim)
     if np.all(O == O[0]):
-        shared_t, shared_prim = _wavefront._nearest_hits(flat, O[0].copy(), D)
+        shared_t, shared_prim = _wavefront._nearest_hits(flat, tuple(O[0].tolist()),
+                                                         *D.T.copy())
         assert np.array_equal(shared_t, t) and np.array_equal(shared_prim, prim)
     return t, prim
 
@@ -165,6 +168,21 @@ def test_nearest_hits_match_scalar_intersection_on_random_rays():
     origins = rng.uniform(-4, 4, size=(400, 3))
     _, own = _check_nearest_hits(prims, [(tuple(o), tuple(d)) for o, d in zip(origins, dirs)])
     assert len(set(shared.tolist())) > 3 and len(set(own.tolist())) > 3
+
+
+def test_column_frames_match_make_frame_on_the_degenerate_fallback_too():
+    h = Vec3(*FRAME_HELPER).normalized()
+    rng = np.random.default_rng(3)
+    normals = [h, -h] + [Vec3(*v).normalized() for v in rng.standard_normal((200, 3))]
+    # +-h are (anti)parallel to the helper offset, so make_frame falls back there only
+    fallback = [n.cross(n + Vec3(*FRAME_HELPER)).norm() < FRAME_DEGENERATE_EPS
+                for n in normals]
+    assert fallback[:2] == [True, True] and not any(fallback[2:])
+    x, y = _wavefront._frames([np.array([getattr(n, c) for n in normals]) for c in "xyz"])
+    for i, n in enumerate(normals):
+        f = make_frame(n)
+        assert (x[0][i], x[1][i], x[2][i]) == f.x_axis.as_tuple()
+        assert (y[0][i], y[1][i], y[2][i]) == f.y_axis.as_tuple()
 
 
 def _scalar_reference(scene, theta, spp, seed, target, max_depth=16):
@@ -466,3 +484,54 @@ def test_no_worker_outlives_optimize():
         with pytest.raises(DivergenceError):
             optimize(scene, theta, huge, config)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_tiles_change_no_bit_and_replay_or_retrace_together(monkeypatch, threads):
+    scene, theta = build_cornell_box(12, 10)
+    rows = np.full((10, 12), 0.25)
+    thetas = [theta, theta.with_control(7, 0.55), theta.with_control(5, 35.0)]
+    with _wavefront.Session(scene, spp=3, seed=9, threads=threads, max_depth=16) as session:
+        whole = [session.evaluate(t, rows, True, True) for t in thetas]
+        assert all(len(chunk.tiles) == 1 for chunk in session._chunks)
+    # 40 lanes hold 13 pixels of 3 samples: 10 tiles of one 120-pixel chunk,
+    # the last of 3 pixels, or 4 per 40-pixel chunk, the last of 1
+    monkeypatch.setattr(_wavefront, "TILE_LANES", 40)
+    with _wavefront.Session(scene, spp=3, seed=9, threads=threads, max_depth=16) as session:
+        sizes = [[t.stop - t.start for t in chunk.tiles] for chunk in session._chunks]
+        last = 120 // threads - 13 * (len(sizes[0]) - 1)
+        assert all(s == [13] * (len(s) - 1) + [last] for s in sizes) and 0 < last < 13
+        records = []
+        for t, want, traces in zip(thetas, whole, [1, 1, 2]):
+            _same_result(session.evaluate(t, rows, True, True), want)
+            # theta7 replays every tile, theta5 traces every tile again
+            assert session.traces == traces * threads
+            if threads == 1:  # the chunk lives in this process
+                records.append([rec for rec, _, _ in session._chunks[0].traced])
+    if threads == 1:
+        assert all(a is b for a, b in zip(records[0], records[1]))
+        assert not any(a is b for a, b in zip(records[1], records[2]))
+
+
+def _transient_bytes(res):
+    """tracemalloc peak minus what stays held, of one render evaluation at res^2 x 16."""
+    # framed on the floor, so tiles at either size see alike sky, floor and ball: a
+    # tile's transients follow how many of its lanes hit, and this compares sizes
+    scene = parse_scene(OPEN_SCENE.replace("camera eye 0 150 -500 look 0 80 0",
+                                           "camera eye 0 400 -300 look 0 0 0")
+                        .replace("res 12 12", f"res {res} {res}"))
+    with _wavefront.Session(scene, spp=16, seed=3, threads=1, max_depth=16) as session:
+        tracemalloc.start()
+        try:
+            out = session.evaluate(scene.theta, None, False, False)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert 0.0 < out.mean_depth and np.any(out.pixel_mean == 0.0)  # some lanes escape
+    return peak - held
+
+
+def test_transient_memory_does_not_grow_with_the_image():
+    # 64^2 x 16 is one tile; 256^2 x 16 traces 16 tiles of it, keeping each record
+    small, large = _transient_bytes(64), _transient_bytes(256)
+    assert large <= 1.5 * small, (small, large)
