@@ -7,19 +7,20 @@ x/y/z columns (structure of arrays, as in Laine, Karras & Aila, HPG 2013);
 each depth step gathers the in-flight lanes and steps those alone, and each
 primitive's intersection is finished only on the lanes a cheap first test
 leaves.  Every expression keeps geometry's float association term for term,
-and tests hold the two engines to the same paths.  ``forward``/``backward``
-sweep a record along its ``SweepPlan``; validation replays frozen scalar
-paths through them too.  Formulas on floats or arrays live once, in sampling
-and materials; only the Vec3 geometry stays twinned here, for the reason
-geometry gives.
+and tests hold the two engines to the same paths.  A record keeps, per
+depth and lobe, only the lanes, material ids and (specular) u1 draws that
+``forward``/``backward`` read, in the groups they walk; validation builds
+the same rows from frozen scalar paths and replays them through the same
+sweeps.  Formulas on floats or arrays live once, in sampling and materials;
+only the Vec3 geometry stays twinned here, for the reason geometry gives.
 
 A ``Session`` splits the pixels into chunks merged in chunk order, so
 per-pixel outputs never depend on the worker count and reductions are
 bit-stable for a fixed count.  Each chunk traces and sweeps its pixels in
 tiles of ``TILE_LANES`` lanes, so lane temporaries stay bounded whatever the
 image size.  A path depends on theta only through the resolved lobe
-exponents, so each tile keeps its record and plan where it was traced and
-re-sweeps them while the exponents stay the same (path replay, as in Vicini,
+exponents, so each tile keeps its record where it was traced and re-sweeps
+it while the exponents stay the same (path replay, as in Vicini,
 Speierer & Jakob, SIGGRAPH 2021), bit-identically to a fresh trace.
 """
 
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FRAME_DEGENERATE_EPS, FRAME_HELPER, FRAME_HELPER_FALLBACK, Sphere, T_MIN
-from .materials import (ControlVector, LobeTag, MaterialKind, N_CONTROLS, Q_LOBE,
-                        emission_partial, emitter_radiance, roulette_weight, throughput,
+from .materials import (ControlVector, GradientVector, LobeTag, MaterialKind, N_CONTROLS,
+                        Q_LOBE, emission_partial, emitter_radiance, roulette_weight, throughput,
                         throughput_partials)
-from .path_engine import _check_at_least_one, target_rows
+from .path_engine import TraceOutput, _check_at_least_one, target_rows
 from .sampling import lobe_t, stream_key, uniform
 from .scene_io import ScalarImage
 
@@ -83,20 +84,21 @@ def material_table(materials, theta):
 
 @dataclass
 class PathRecord:
-    """What the sweeps need of a set of paths, one lane per path.
+    """What the sweeps read of a set of paths, one lane per path, laid out as
+    they read it.
 
-    Row d of the per-depth arrays describes each lane's d-th continuation
-    vertex (valid where d < n_cont): material id, LobeTag code and the u1
-    that sampled the bounce.  Directions and hit points are not kept; the
-    throughput depends only on those three.  Material ids are stored in
+    ``rows[d]`` holds the paths' d-th continuation vertices as ``lobe_groups``
+    builds them: one (LobeTag, lanes, material ids, u1) group per lobe sampled
+    at that depth, lanes ascending.  Only the specular throughput reads the
+    u1 that sampled the bounce, so other groups keep None in its place.
+    Directions and hit points are not kept.  Material ids are stored in
     ``id_dtype`` of the material count.
     """
 
-    n_cont: np.ndarray     # (lanes,) continuation vertices per path
-    term_mat: np.ndarray   # (lanes,) id of the emitter the path ended on, or -1
-    v_mat: np.ndarray      # (depth, lanes)
-    v_tag: np.ndarray      # (depth, lanes)
-    v_u1: np.ndarray       # (depth, lanes)
+    n_lanes: int
+    rows: list               # per depth, the lobe groups of its vertices
+    emitters: np.ndarray     # lanes that ended on an emitter, ascending
+    emitter_mat: np.ndarray  # the id of that emitter
 
 
 def id_dtype(n_materials):
@@ -104,33 +106,23 @@ def id_dtype(n_materials):
     return np.min_scalar_type(-max(n_materials, 1))
 
 
-@dataclass
-class SweepPlan:
-    """Where a record's vertices sit, per depth; theta never changes it."""
-
-    lanes: list            # lanes with a continuation vertex at that depth
-    groups: list           # (LobeTag, positions within lanes) per lobe used there
-    emitters: np.ndarray   # lanes that ended on an emitter
-
-
-def sweep_plan(record):
-    """The lane lists and lobe groups both sweeps walk, built once per record."""
-    lanes = [np.flatnonzero(record.n_cont > d) for d in range(record.v_mat.shape[0])]
-    groups = []
-    for d, ln in enumerate(lanes):
-        tags = record.v_tag[d, ln]
-        sels = [(tag, np.flatnonzero(tags == tag)) for tag in LobeTag]
-        groups.append([(tag, sel) for tag, sel in sels if sel.size])
-    return SweepPlan(lanes, groups, np.flatnonzero(record.term_mat >= 0))
+def lobe_groups(lanes, mat, tag, u1):
+    """One row of a PathRecord from the vertices of ``lanes`` (ascending) at one
+    depth, with their material ids, LobeTag codes and u1 draws."""
+    row = []
+    for t in (LobeTag.LAMBERT_ONLY, LobeTag.DIFFUSE, LobeTag.SPECULAR):
+        sel = np.flatnonzero(tag == t)
+        if sel.size:
+            row.append((t, lanes[sel], mat[sel], u1[sel] if t == LobeTag.SPECULAR else None))
+    return row
 
 
 @dataclass
 class SweepCache:
-    """Forward-sweep values the backward sweep reuses, one entry per depth."""
+    """Forward-sweep values the backward sweep reuses, per depth and lobe group."""
 
     mats: MaterialTable
-    plan: SweepPlan
-    radiance_in: list    # radiance each plan lane's vertex reflects, unweighted
+    radiance_in: list    # radiance each group's vertices reflect, unweighted
     throughput: list
 
 
@@ -306,11 +298,8 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
     lane = np.arange(n_lanes)
     n_vertices = 0
     ids = id_dtype(kind.shape[0])
-    n_cont = np.zeros(n_lanes, dtype=np.int32)
-    term_mat = np.full(n_lanes, -1, dtype=ids)
-    v_mat = np.full((max_depth, n_lanes), -1, dtype=ids)
-    v_tag = np.full((max_depth, n_lanes), LobeTag.NONE, dtype=np.int8)
-    v_u1 = np.zeros((max_depth, n_lanes), dtype=np.float64)
+    rows = []
+    em_lane, em_mat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
 
     for d in range(max_depth):
         t, prim = _nearest_hits(prims, O, *D)
@@ -335,7 +324,8 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
 
         terminal = _draw(key, counter) < absorb[mat]
         is_em = terminal & (kind[mat] == MaterialKind.EMITTER)
-        term_mat[lane[is_em]] = mat[is_em]
+        em_lane.append(lane[is_em])
+        em_mat.append(mat[is_em])
 
         idx = np.flatnonzero(~terminal)
         if d + 1 >= max_depth or not idx.size:
@@ -356,50 +346,44 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
         below = np.zeros(lane.shape[0], dtype=bool)
         below[spec] = _reflect(D, inc, normal, spec)
 
-        v_mat[d, lane] = mat
-        v_u1[d, lane] = u1
-        v_tag[d, lane] = np.where(specular, LobeTag.SPECULAR,
-                                  np.where(is_phong, LobeTag.DIFFUSE, LobeTag.LAMBERT_ONLY))
+        tag = np.where(specular, LobeTag.SPECULAR,
+                       np.where(is_phong, LobeTag.DIFFUSE, LobeTag.LAMBERT_ONLY))
         if below.any():  # below-horizon samples end the path
             idx = np.flatnonzero(~below)
-            lane, key, counter = lane[idx], key[idx], counter[idx]
+            lane, key, counter, mat, tag, u1 = (
+                a[idx] for a in (lane, key, counter, mat, tag, u1))
             for cols in (O, D):
                 cols[:] = _take(cols, idx)
-        n_cont[lane] = d + 1
+        rows.append(lobe_groups(lane, mat.astype(ids), tag, u1))
 
-    depth = int(n_cont.max()) if n_lanes else 0
-    # copies, so a record holds the rows its paths reach, not max_depth of them
-    record = PathRecord(n_cont=n_cont, term_mat=term_mat, v_mat=v_mat[:depth].copy(),
-                        v_tag=v_tag[:depth].copy(), v_u1=v_u1[:depth].copy())
-    return record, n_vertices
+    em_lane = np.concatenate(em_lane)
+    order = np.argsort(em_lane)  # lanes end at different depths
+    return (PathRecord(n_lanes, rows, em_lane[order], np.concatenate(em_mat)[order].astype(ids)),
+            n_vertices)
 
 
-def forward(record, mats, plan):
+def forward(record, mats):
     """Camera radiance per lane, plus the cache ``backward`` needs.
 
     Sweeps each path terminal -> camera like path_engine.forward_pass: an
     emitter terminal starts at its emitter radiance, then every continuation
-    vertex applies  L <- ambient + throughput * L * weight.  ``plan`` is
-    ``sweep_plan(record)``.
+    vertex applies  L <- ambient + throughput * L * weight.
     """
-    depth, n_lanes = record.v_mat.shape
-    radiance = np.zeros(n_lanes)
-    em = plan.emitters
-    m = record.term_mat[em]
-    radiance[em] = emitter_radiance(mats.value["emission"][m], mats.base_emission[m],
-                                    mats.absorb[m])
-    cache = SweepCache(mats, plan, [None] * depth, [None] * depth)
+    radiance = np.zeros(record.n_lanes)
+    m = record.emitter_mat
+    radiance[record.emitters] = emitter_radiance(mats.value["emission"][m],
+                                                 mats.base_emission[m], mats.absorb[m])
+    depth = len(record.rows)
+    cache = SweepCache(mats, [None] * depth, [None] * depth)
     for d in range(depth - 1, -1, -1):
-        lanes = plan.lanes[d]
-        mat = record.v_mat[d, lanes]
-        f = np.empty(lanes.shape[0])
-        for tag, sel in plan.groups[d]:
-            m = mat[sel]
-            f[sel] = throughput(tag, mats.value["diffuse"][m], mats.value["specular"][m],
-                                mats.value["exponent"][m], record.v_u1[d, lanes[sel]])
-        r = radiance[lanes]
-        cache.radiance_in[d], cache.throughput[d] = r, f
-        radiance[lanes] = mats.value["ambient"][mat] + f * r * mats.weight[mat]
+        cache.radiance_in[d], cache.throughput[d] = [], []
+        for tag, lanes, mat, u1 in record.rows[d]:
+            f = throughput(tag, mats.value["diffuse"][mat], mats.value["specular"][mat],
+                           mats.value["exponent"][mat], u1)
+            r = radiance[lanes]
+            cache.radiance_in[d].append(r)
+            cache.throughput[d].append(f)
+            radiance[lanes] = mats.value["ambient"][mat] + f * r * mats.weight[mat]
     return radiance, cache
 
 
@@ -417,24 +401,19 @@ def backward(record, cache, adjoint):
     forward sweep's throughput * weight factors.  Every vertex adds each
     binding partial into the control slot that binding is bound to.
     """
-    mats, plan = cache.mats, cache.plan
-    g = np.zeros((N_CONTROLS, record.n_cont.shape[0]))
+    mats = cache.mats
+    g = np.zeros((N_CONTROLS, record.n_lanes))
     p = np.array(adjoint, dtype=np.float64)
-    for d, lanes in enumerate(plan.lanes):
-        mat = record.v_mat[d, lanes]
-        w = mats.weight[mat]
-        rad_w = cache.radiance_in[d] * w
-        p_d = p[lanes]
-        _scatter(g, mats.control["ambient"][mat], lanes, p_d)
-        for tag, sel in plan.groups[d]:
-            m = mat[sel]
-            for name, amount in throughput_partials(
-                    tag, mats.value["specular"][m], mats.value["exponent"][m],
-                    record.v_u1[d, lanes[sel]], rad_w[sel], p_d[sel]):
-                _scatter(g, mats.control[name][m], lanes[sel], amount)
-        p[lanes] = cache.throughput[d] * w * p_d
-    em = plan.emitters
-    m = record.term_mat[em]
+    for row, radiance_in, throughputs in zip(record.rows, cache.radiance_in, cache.throughput):
+        for (tag, lanes, mat, u1), r, f in zip(row, radiance_in, throughputs):
+            w = mats.weight[mat]
+            p_d = p[lanes]
+            _scatter(g, mats.control["ambient"][mat], lanes, p_d)
+            for name, amount in throughput_partials(tag, mats.value["specular"][mat],
+                                                    mats.value["exponent"][mat], u1, r * w, p_d):
+                _scatter(g, mats.control[name][mat], lanes, amount)
+            p[lanes] = f * w * p_d
+    em, m = record.emitters, record.emitter_mat
     _scatter(g, mats.control["emission"][m], em,
              emission_partial(mats.base_emission[m], mats.absorb[m], p[em]))
     return g
@@ -442,7 +421,7 @@ def backward(record, cache, adjoint):
 
 class _Chunk:
     """One pixel range, traced and swept in turn in tiles of ``max(1, TILE_LANES //
-    spp)`` whole pixels, and each tile's record and plan.
+    spp)`` whole pixels, and each tile's record.
 
     Lives in the process that traces it.  The records are keyed by the bytes
     of the exponents they were traced at (``kind`` and ``absorb`` are fixed by
@@ -455,12 +434,12 @@ class _Chunk:
         self.spp, self.seed, self.max_depth = spp, seed, max_depth
         per, n = max(1, TILE_LANES // spp), pixels.shape[0]
         self.tiles = [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
-        self.key, self.traced = None, []  # (record, plan, vertex count) per tile
+        self.key, self.traced = None, []  # (record, vertex count) per tile
 
-    def _sweep(self, record, plan, tile, mats, targets, pixel_sum, resid, grad_pixel):
+    def _sweep(self, record, tile, mats, targets, pixel_sum, resid, grad_pixel):
         """Writes one tile's pixel sums and, with ``resid``, its residuals and gradients."""
         spp = self.spp
-        radiance, cache = forward(record, mats, plan)
+        radiance, cache = forward(record, mats)
         pixel_sum[tile] = radiance.reshape(-1, spp).sum(axis=1)
         if resid is not None:
             # the cost compares stored images, so quantize means to float32 first;
@@ -487,14 +466,13 @@ class _Chunk:
                     self.prims, self.cam, mats.kind, mats.absorb, mats.value["exponent"],
                     self.seed, np.repeat(pixels, spp),
                     np.tile(np.arange(spp, dtype=np.int64), pixels.shape[0]), self.max_depth)
-                self.traced.append((record, sweep_plan(record), n_vertices))
-            record, plan, _ = self.traced[i]
-            self._sweep(record, plan, tile, mats, targets, pixel_sum, resid, grad_pixel)
+                self.traced.append((record, n_vertices))
+            self._sweep(self.traced[i][0], tile, mats, targets, pixel_sum, resid, grad_pixel)
         self.key = key
         # reduced over the whole chunk, whatever its tiles
         cost = float(0.5 * (resid @ resid)) if want_grad else 0.0
         grad = grad_pixel.sum(axis=1) if want_grad else np.zeros(N_CONTROLS)
-        return (pixel_sum, sum(n for _, _, n in self.traced), cost, grad,
+        return (pixel_sum, sum(n for _, n in self.traced), cost, grad,
                 grad_pixel if want_grad_images else None, traced)
 
 
@@ -511,15 +489,6 @@ def _serve(conn, chunks):
         pass
 
 
-@dataclass
-class TraceResult:
-    pixel_mean: np.ndarray  # (h, w)
-    cost: float
-    grad: np.ndarray        # (7,)
-    mean_depth: float
-    grad_images: np.ndarray | None
-
-
 class Session:
     """Evaluations of one scene at one spp, seed and depth cap, many thetas.
 
@@ -532,7 +501,8 @@ class Session:
     table, the target slices and the results cross the pipes.  ``traces``
     counts chunk traces (every tile of the chunk); an evaluation whose
     exponents match a chunk's records replays them instead.  Use as a
-    context manager, or call ``close``, to stop the workers.
+    context manager, or call ``close``, to stop the workers.  A worker
+    found dead surfaces as ChildProcessError (see ``_run``).
     """
 
     def __init__(self, scene, spp, seed, threads, max_depth):
@@ -572,17 +542,29 @@ class Session:
             self._workers.append((proc, conn))
 
     def _run(self, jobs):
-        """Per-chunk results, in chunk order."""
+        """Per-chunk results, in chunk order.
+
+        Raises ChildProcessError, naming the pool slot and its exit code, when
+        a worker's pipe is found closed; the next evaluation starts new
+        workers, as after any failed one.
+        """
         if not self._n_workers:
             return [chunk.evaluate(*job) for chunk, job in zip(self._chunks, jobs)]
         if not self._workers:
             self._start()
         n = len(self._workers)
+        replies = []
         try:
             for w, (_, conn) in enumerate(self._workers):
                 conn.send(jobs[w::n])
             # every reply is read before any is raised, so the pipes stay in step
-            replies = [conn.recv() for _, conn in self._workers]
+            for w, (_, conn) in enumerate(self._workers):
+                replies.append(conn.recv())
+        except (EOFError, OSError) as exc:  # worker w's end of its pipe is closed
+            proc = self._workers[w][0]
+            self.close()  # joins the worker, which sets its exit code
+            raise ChildProcessError(
+                f"trace worker {w} died (exit code {proc.exitcode})") from exc
         except BaseException:
             self.close()  # the pipes may hold unread replies; the next call restarts
             raise
@@ -596,7 +578,7 @@ class Session:
     def evaluate(self, theta, target_rows, want_grad, want_grad_images):
         """Render at theta and, with ``want_grad``, differentiate the image cost.
 
-        Returns a TraceResult.  ``target_rows`` is the (height, width) float64
+        Returns a path_engine.TraceOutput.  ``target_rows`` is the (height, width) float64
         target, or None without gradients.  Raises ValueError for controls
         outside the domain material_table accepts, on every call.
         """
@@ -615,18 +597,17 @@ class Session:
         grad_images = None
         if want_grad and want_grad_images:
             grad_images = np.concatenate(grad_pixels, axis=1).reshape(N_CONTROLS, *shape)
-        return TraceResult(pixel_mean=(np.concatenate(pixel_sums) / self.spp).reshape(shape),
-                           cost=cost, grad=grad,
-                           mean_depth=sum(n_verts) / (self._bounds[-1] * self.spp),
-                           grad_images=grad_images)
+        pixel_mean = (np.concatenate(pixel_sums) / self.spp).reshape(shape)
+        n_samples = self._bounds[-1] * self.spp
+        return TraceOutput(image=ScalarImage(self.width, self.height, pixel_mean),
+                           cost=cost, grad=GradientVector(grad), sample_count=n_samples,
+                           mean_depth=sum(n_verts) / n_samples, grad_images=grad_images)
 
     def render_target(self, theta):
         """Target rows of the image at theta: rendered in this session (so an
         evaluation at the same exponents replays its paths), quantized through
-        float32 like trace_image's image and checked by path_engine.target_rows."""
-        pixel_mean = self.evaluate(theta, None, False, False).pixel_mean
-        return target_rows(ScalarImage(self.width, self.height,
-                                       pixel_mean.astype(np.float32)), self.camera)
+        float32 like every evaluation's image and checked by path_engine.target_rows."""
+        return target_rows(self.evaluate(theta, None, False, False).image, self.camera)
 
     def close(self):
         """Stop the workers; a later evaluation starts new ones and traces again."""

@@ -97,7 +97,7 @@ def total_cost_and_grad(session, theta, target, config):
     """
     out = session.evaluate(theta, target, want_grad=True, want_grad_images=False)
     cost = out.cost
-    grad = out.grad
+    grad = out.grad.as_array()
     if config.regularization != 0.0:
         t = theta.as_array()
         cost += 0.5 * config.regularization * float(t @ t)

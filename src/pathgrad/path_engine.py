@@ -215,17 +215,9 @@ def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
     """
     from . import _wavefront
 
-    cam = scene.camera
     if not compute_gradients:
         target = None
     elif not isinstance(target, ControlVector):
-        target = target_rows(target, cam)
-    result = _wavefront.trace(scene, theta, spp, seed, target, compute_gradients,
-                              threads, max_depth, want_grad_images)
-    image = ScalarImage(cam.width, cam.height,
-                        result.pixel_mean.astype(np.float32))
-    grad = GradientVector(result.grad)
-    return TraceOutput(image=image, cost=float(result.cost), grad=grad,
-                       sample_count=cam.width * cam.height * spp,
-                       mean_depth=float(result.mean_depth),
-                       grad_images=result.grad_images)
+        target = target_rows(target, scene.camera)
+    return _wavefront.trace(scene, theta, spp, seed, target, compute_gradients,
+                            threads, max_depth, want_grad_images)

@@ -40,15 +40,12 @@ class FrozenEnsemble:
     label: str = ""
     materials: list = field(init=False, repr=False)  # Material per record id
     record: object = field(init=False, repr=False)     # _wavefront.PathRecord
-    plan: object = field(init=False, repr=False)       # its _wavefront.SweepPlan
 
     def __post_init__(self):
-        from ._wavefront import sweep_plan  # loaded on first use, not by `import pathgrad`
         self.targets = np.asarray(self.targets, dtype=np.float64)
         if self.targets.shape != (len(self.paths),):
             raise ValueError("one target radiance per path required")
         self.materials, self.record = _record_of(self.paths)
-        self.plan = sweep_plan(self.record)
 
     @property
     def n_paths(self):
@@ -57,28 +54,30 @@ class FrozenEnsemble:
 
 def _record_of(paths):
     """(materials by id, the sweeps' view of frozen paths, one lane per path)."""
-    from ._wavefront import PathRecord, id_dtype
+    # loaded on first use, not by `import pathgrad`
+    from ._wavefront import PathRecord, id_dtype, lobe_groups
     ids = {}  # id(material) -> (material id, material)
 
     def mat_id(material):
         return ids.setdefault(id(material), (len(ids), material))[0]
 
-    n_cont = np.array([p.continuation_count for p in paths], dtype=np.int32)
-    shape = (int(n_cont.max(initial=0)), len(paths))
-    v_mat = np.full(shape, -1, dtype=np.int64)
-    v_tag = np.full(shape, LobeTag.NONE, dtype=np.int8)
-    v_u1 = np.zeros(shape)
-    term_mat = np.full(len(paths), -1, dtype=np.int64)
+    vertex_ids, emitters = [], {}  # per lane: continuation vertex ids; emitter id
     for lane, path in enumerate(paths):
-        for d, v in enumerate(path.vertices[:n_cont[lane]]):
-            v_mat[d, lane] = mat_id(v.material)
-            v_tag[d, lane] = v.tag
-            v_u1[d, lane] = v.u1
+        vertex_ids.append([mat_id(v.material) for v in path.vertices[:path.continuation_count]])
         if path.terminal_kind is TerminalKind.EMITTER:
-            term_mat[lane] = mat_id(path.vertices[-1].material)
+            emitters[lane] = mat_id(path.vertices[-1].material)
     dtype = id_dtype(len(ids))
+    rows = []
+    for d in range(max(map(len, vertex_ids), default=0)):
+        lanes = [lane for lane, vs in enumerate(vertex_ids) if len(vs) > d]
+        verts = [paths[lane].vertices[d] for lane in lanes]
+        rows.append(lobe_groups(np.array(lanes, dtype=np.int64),
+                                np.array([vertex_ids[lane][d] for lane in lanes], dtype=dtype),
+                                np.array([v.tag for v in verts]),
+                                np.array([v.u1 for v in verts])))
     return ([m for _, m in ids.values()],
-            PathRecord(n_cont, term_mat.astype(dtype), v_mat.astype(dtype), v_tag, v_u1))
+            PathRecord(len(paths), rows, np.array(list(emitters), dtype=np.int64),
+                       np.array(list(emitters.values()), dtype=dtype)))
 
 
 def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
@@ -121,7 +120,7 @@ def _sweep(ensemble, theta):
     """Forward sweep at theta: residuals, mean quadratic cost, sweep cache."""
     from ._wavefront import forward, material_table
     mats = material_table(ensemble.materials, theta)
-    radiance, cache = forward(ensemble.record, mats, ensemble.plan)
+    radiance, cache = forward(ensemble.record, mats)
     costs, resid = cost_and_adjoint(radiance, ensemble.targets)
     return resid, float(np.sum(costs)) / ensemble.n_paths, cache
 

@@ -377,3 +377,14 @@ def test_cli_runs_as_module(tmp_path):
                         capture_output=True, text=True)
     assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
     assert (tmp_path / "p1.pfm").read_bytes() == (tmp_path / "p2.pfm").read_bytes()
+
+
+def test_importing_the_cli_loads_no_tracer_or_process_pool():
+    # every command pays its imports in setup time; the lane tracer and the
+    # worker pool load on first use
+    lazy = ("pathgrad._wavefront", "multiprocessing", "concurrent.futures")
+    code = ("import sys, pathgrad, pathgrad.cli; "
+            f"print([m for m in {lazy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

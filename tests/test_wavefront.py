@@ -1,6 +1,8 @@
 """Vectorized tracer vs the scalar engine, draw for draw."""
 
 import multiprocessing
+import os
+import signal
 import tracemalloc
 from types import SimpleNamespace
 
@@ -328,9 +330,7 @@ def test_camera_facing_away_escapes_every_lane_at_the_first_step():
     scene = parse_scene(OPEN_SCENE.replace("look 0 80 0", "look 0 150 -1000"))
     record, n_vertices = _lanes_record(scene, scene.theta, 2, 9, 16)
     assert n_vertices == 0
-    assert record.v_mat.shape == record.v_tag.shape == record.v_u1.shape == (0, 288)
-    assert not record.n_cont.any()
-    assert np.all(record.term_mat == -1)
+    assert record.n_lanes == 288 and record.rows == [] and record.emitters.size == 0
     target = ScalarImage(12, 12, np.full((12, 12), 0.25, dtype=np.float32))
     out = trace_image(scene, scene.theta, spp=2, seed=9, target=target,
                       compute_gradients=True)
@@ -353,7 +353,7 @@ def test_depth_cap_of_one_matches_scalar_engine(make_scene):
     assert_allclose(out.grad.as_array(), grad, rtol=1e-12, atol=1e-15)
     assert 0.0 < out.mean_depth <= 1.0
     record, _ = _lanes_record(scene, theta, 2, 9, 1)
-    assert record.v_mat.shape[0] == 0 and not record.n_cont.any()
+    assert record.rows == [] and record.emitters.size == 0
 
 
 def test_lanes_ending_below_the_horizon_match_make_path_lane_by_lane():
@@ -363,36 +363,37 @@ def test_lanes_ending_below_the_horizon_match_make_path_lane_by_lane():
     theta = theta.with_control(5, 1.0)
     spp, seed = 2, 9
     record, _ = _lanes_record(scene, theta, spp, seed, 16)
-    depth, n_lanes = record.v_mat.shape
-    v_mat = np.full((depth, n_lanes), -1)
-    v_tag = np.full((depth, n_lanes), LobeTag.NONE)
-    v_u1 = np.zeros((depth, n_lanes))
-    n_cont = np.zeros(n_lanes, dtype=np.int64)
-    term_mat = np.full(n_lanes, -1)
-    below_at = []
-    for lane in range(n_lanes):
+    got = []  # per depth: lane -> (material id, tag, u1 or None)
+    for row in record.rows:
+        got.append({})
+        for tag, lanes, mat, u1 in row:
+            assert np.all(np.diff(lanes) > 0)
+            for i, lane in enumerate(lanes.tolist()):
+                assert lane not in got[-1]  # one vertex per lane and depth
+                got[-1][lane] = (int(mat[i]), tag, None if u1 is None else float(u1[i]))
+    want, emitters, below_at = [], {}, []
+    for lane in range(record.n_lanes):
         path = trace_pixel_sample(scene, theta, lane // spp, lane % spp, seed)
-        n_cont[lane] = path.continuation_count
         if path.terminal_kind is TerminalKind.EMITTER:
-            term_mat[lane] = path.vertices[-1].hit.material_id
+            emitters[lane] = path.vertices[-1].hit.material_id
         if path.terminal_kind is TerminalKind.BELOW_HORIZON:
             below_at.append(len(path.vertices) - 1)
-        for d, v in enumerate(path.vertices[:depth]):
-            if v.tag is not LobeTag.NONE:  # sampled a bounce, below-horizon ones too
-                v_mat[d, lane], v_tag[d, lane], v_u1[d, lane] = v.hit.material_id, v.tag, v.u1
-    assert below_at and any(np.any(n_cont > d) for d in below_at)
-    assert np.array_equal(record.n_cont, n_cont)
-    assert np.array_equal(record.term_mat, term_mat)
-    assert np.array_equal(record.v_mat, v_mat)
-    assert np.array_equal(record.v_tag, v_tag)
-    assert np.array_equal(record.v_u1, v_u1)
+        # continuation vertices only: a below-horizon vertex is in no row
+        for d, v in enumerate(path.vertices[:path.continuation_count]):
+            want += [{} for _ in range(d + 1 - len(want))]
+            want[d][lane] = (v.hit.material_id, v.tag,
+                             v.u1 if v.tag is LobeTag.SPECULAR else None)
+    assert below_at and any(d < len(want) and want[d] for d in below_at)
+    assert got == want
+    assert np.all(np.diff(record.emitters) > 0)
+    assert dict(zip(record.emitters.tolist(), record.emitter_mat.tolist())) == emitters
 
 
 def _same_result(a, b):
-    """Two TraceResults agree bit for bit."""
-    assert np.array_equal(a.pixel_mean, b.pixel_mean)
+    """Two TraceOutputs agree bit for bit."""
+    assert a.image.data.tobytes() == b.image.data.tobytes()
     assert a.cost == b.cost and a.mean_depth == b.mean_depth
-    assert np.array_equal(a.grad, b.grad)
+    assert a.grad.as_tuple() == b.grad.as_tuple()
     assert np.array_equal(a.grad_images, b.grad_images)
 
 
@@ -507,7 +508,7 @@ def test_tiles_change_no_bit_and_replay_or_retrace_together(monkeypatch, threads
             # theta7 replays every tile, theta5 traces every tile again
             assert session.traces == traces * threads
             if threads == 1:  # the chunk lives in this process
-                records.append([rec for rec, _, _ in session._chunks[0].traced])
+                records.append([rec for rec, _ in session._chunks[0].traced])
     if threads == 1:
         assert all(a is b for a, b in zip(records[0], records[1]))
         assert not any(a is b for a, b in zip(records[1], records[2]))
@@ -527,7 +528,7 @@ def _transient_bytes(res):
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert 0.0 < out.mean_depth and np.any(out.pixel_mean == 0.0)  # some lanes escape
+    assert 0.0 < out.mean_depth and np.any(out.image.data == 0.0)  # some lanes escape
     return peak - held
 
 
@@ -535,3 +536,54 @@ def test_transient_memory_does_not_grow_with_the_image():
     # 64^2 x 16 is one tile; 256^2 x 16 traces 16 tiles of it, keeping each record
     small, large = _transient_bytes(64), _transient_bytes(256)
     assert large <= 1.5 * small, (small, large)
+
+
+def _record_bytes(record):
+    arrays = [record.emitters, record.emitter_mat]
+    arrays += [a for row in record.rows for _, lanes, mat, u1 in row for a in (lanes, mat, u1)
+               if a is not None]
+    return sum(a.nbytes for a in arrays)
+
+
+def test_records_keep_only_what_the_sweeps_read():
+    scene, theta = build_cornell_box(64, 64)
+    with _wavefront.Session(scene, spp=16, seed=3, threads=1, max_depth=16) as session:
+        session.evaluate(theta, np.full((64, 64), 0.25), True, False)
+        records = [rec for rec, _ in session._chunks[0].traced]
+    groups = [group for rec in records for row in rec.rows for group in row]
+    assert {tag for tag, *_ in groups} == {LobeTag.LAMBERT_ONLY, LobeTag.DIFFUSE,
+                                           LobeTag.SPECULAR}
+    assert all((u1 is None) == (tag != LobeTag.SPECULAR) for tag, _, _, u1 in groups)
+    # dense (depth x lanes) rows padded to the deepest path took 191 B per lane
+    assert sum(map(_record_bytes, records)) / (64 * 64 * 16) <= 40.0
+
+
+def test_a_worker_dying_in_an_evaluation_raises_a_named_error(monkeypatch):
+    scene, theta = build_cornell_box(8, 8)
+    rows = np.full((8, 8), 0.25)
+    with _wavefront.Session(scene, spp=2, seed=9, threads=2, max_depth=16) as session:
+        with monkeypatch.context() as patched:
+            # the workers, forked at this evaluation, inherit the patch
+            patched.setattr(_wavefront._Chunk, "evaluate", lambda *args: os._exit(3))
+            with pytest.raises(ChildProcessError, match=r"exit code 3\b"):
+                session.evaluate(theta, rows, True, True)
+        assert multiprocessing.active_children() == []
+        _same_result(session.evaluate(theta, rows, True, True),
+                     _wavefront.trace(scene, theta, 2, 9, rows, True, 2, 16, True))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_killed_between_evaluations_raises_a_named_error():
+    scene, theta = build_cornell_box(8, 8)
+    rows = np.full((8, 8), 0.25)
+    with _wavefront.Session(scene, spp=2, seed=9, threads=2, max_depth=16) as session:
+        first = session.evaluate(theta, rows, True, True)
+        worker = session._workers[0][0]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        with pytest.raises(ChildProcessError, match=rf"worker 0 .*exit code {-signal.SIGKILL}\b"):
+            session.evaluate(theta, rows, True, True)
+        assert multiprocessing.active_children() == []
+        _same_result(session.evaluate(theta, rows, True, True), first)
+    assert multiprocessing.active_children() == []

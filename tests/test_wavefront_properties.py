@@ -108,21 +108,20 @@ def frozen_records(draw):
     where the exponent derivative clamps the lobe sine.
     """
     materials = _materials(draw)
-    n_cont = np.array(draw(st.lists(st.integers(0, 5), min_size=1, max_size=6)),
-                      dtype=np.int32)
-    shape = (int(n_cont.max()), n_cont.shape[0])
-    v_mat = np.full(shape, -1)
-    v_tag = np.full(shape, LobeTag.NONE, dtype=np.int8)
-    v_u1 = np.zeros(shape)
-    for lane, n in enumerate(n_cont):
-        for d in range(n):
-            v_mat[d, lane], v_tag[d, lane] = draw(st.sampled_from(
-                [(1, LobeTag.SPECULAR), (1, LobeTag.DIFFUSE), (2, LobeTag.LAMBERT_ONLY)]))
-            v_u1[d, lane] = draw(st.floats(0.01, 0.95))
-    term_mat = np.array([draw(st.sampled_from([0, -1])) for _ in n_cont])
+    n_cont = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    # per lane, (material id, tag, u1) of each continuation vertex
+    vertices = [[(*draw(st.sampled_from([(1, LobeTag.SPECULAR), (1, LobeTag.DIFFUSE),
+                                         (2, LobeTag.LAMBERT_ONLY)])),
+                  draw(st.floats(0.01, 0.95))) for _ in range(n)] for n in n_cont]
     ids = _wavefront.id_dtype(len(materials))
-    record = _wavefront.PathRecord(n_cont, term_mat.astype(ids), v_mat.astype(ids),
-                                   v_tag, v_u1)
+    rows = []
+    for d in range(max(n_cont)):
+        lanes = np.array([lane for lane, n in enumerate(n_cont) if n > d])
+        mat, tag, u1 = (np.array(c) for c in zip(*(vertices[lane][d] for lane in lanes)))
+        rows.append(_wavefront.lobe_groups(lanes, mat.astype(ids), tag, u1))
+    emitters = np.flatnonzero([draw(st.sampled_from([0, -1])) == 0 for _ in n_cont])
+    record = _wavefront.PathRecord(len(n_cont), rows, emitters,
+                                   np.zeros(emitters.size, dtype=ids))
     targets = np.array([draw(st.floats(0.0, 1.0)) for _ in n_cont])
     theta = ControlVector((draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 0.3)),
                            draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0)),
@@ -135,11 +134,9 @@ def frozen_records(draw):
 @given(frozen_records())
 def test_adjoint_sweep_matches_central_differences_on_frozen_records(case):
     materials, record, targets, theta = case
-    plan = _wavefront.sweep_plan(record)
 
     def cost(t):
-        radiance, cache = _wavefront.forward(record, _wavefront.material_table(materials, t),
-                                             plan)
+        radiance, cache = _wavefront.forward(record, _wavefront.material_table(materials, t))
         return 0.5 * float(np.sum((radiance - targets) ** 2)), radiance - targets, cache
 
     _, resid, cache = cost(theta)
