@@ -14,14 +14,14 @@ the same rows from frozen scalar paths and replays them through the same
 sweeps.  Formulas on floats or arrays live once, in sampling and materials;
 only the Vec3 geometry stays twinned here, for the reason geometry gives.
 
-A ``Session`` splits the pixels into chunks merged in chunk order, so
-per-pixel outputs never depend on the worker count and reductions are
-bit-stable for a fixed count.  Each chunk traces and sweeps its pixels in
-tiles of ``TILE_LANES`` lanes, so lane temporaries stay bounded whatever the
-image size.  A path depends on theta only through the resolved lobe
-exponents, so each tile keeps its record where it was traced and re-sweeps
-it while the exponents stay the same (path replay, as in Vicini,
-Speierer & Jakob, SIGGRAPH 2021), bit-identically to a fresh trace.
+A ``Session`` cuts the image into fixed blocks, adds cost and gradient per
+block and then in block order, so no output depends on the worker count.
+Its chunks, and their tiles of at most ``TILE_LANES`` lanes, hold whole
+blocks; tiles bound the lane temporaries whatever the image size.  A path
+depends on theta only through the resolved lobe exponents, so each tile
+keeps its record where it was traced and re-sweeps it while the exponents
+stay the same (path replay, as in Vicini, Speierer & Jakob, SIGGRAPH 2021),
+bit-identically to a fresh trace.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .scene_io import ScalarImage
 _BINDINGS = ("emission", "ambient", "diffuse", "specular", "exponent")
 # lanes a chunk traces and sweeps at a time: bounds the lane temporaries
 TILE_LANES = 1 << 16
+# lanes of a reduction block of whole pixels, whatever the chunks and tiles
+BLOCK_LANES = 1 << 13
 
 
 @dataclass
@@ -420,8 +422,8 @@ def backward(record, cache, adjoint):
 
 
 class _Chunk:
-    """One pixel range, traced and swept in turn in tiles of ``max(1, TILE_LANES //
-    spp)`` whole pixels, and each tile's record.
+    """Pixels [lo, hi), traced and swept in turn in tiles of whole ``block``-pixel
+    blocks up to ``TILE_LANES`` lanes, and each tile's record.
 
     Lives in the process that traces it.  The records are keyed by the bytes
     of the exponents they were traced at (``kind`` and ``absorb`` are fixed by
@@ -429,51 +431,53 @@ class _Chunk:
     at another key traces every tile again.
     """
 
-    def __init__(self, prims, cam, pixels, spp, seed, max_depth):
-        self.prims, self.cam, self.pixels = prims, cam, pixels
+    def __init__(self, prims, cam, lo, hi, block, spp, seed, max_depth):
+        self.prims, self.cam, self.lo, self.block = prims, cam, lo, block
         self.spp, self.seed, self.max_depth = spp, seed, max_depth
-        per, n = max(1, TILE_LANES // spp), pixels.shape[0]
-        self.tiles = [slice(lo, min(lo + per, n)) for lo in range(0, n, per)]
+        per = max(1, TILE_LANES // (block * spp)) * block
+        self.tiles = [slice(a, min(a + per, hi - lo)) for a in range(0, hi - lo, per)]
         self.key, self.traced = None, []  # (record, vertex count) per tile
 
-    def _sweep(self, record, tile, mats, targets, pixel_sum, resid, grad_pixel):
-        """Writes one tile's pixel sums and, with ``resid``, its residuals and gradients."""
+    def _sweep(self, record, tile, mats, targets, pixel_sum, partials, grad_pixel):
+        """Writes one tile's pixel sums; with ``targets``, its (cost, grad) per block too."""
         spp = self.spp
         radiance, cache = forward(record, mats)
         pixel_sum[tile] = radiance.reshape(-1, spp).sum(axis=1)
-        if resid is not None:
+        if targets is not None:
             # the cost compares stored images, so quantize means to float32 first;
             # a target rendered at identical settings then has exactly zero residual
             mean32 = (pixel_sum[tile] / spp).astype(np.float32).astype(np.float64)
-            resid[tile] = mean32 - targets[tile]
-            g_lane = backward(record, cache, np.repeat(resid[tile] / spp, spp))
-            grad_pixel[:, tile] = g_lane.reshape(N_CONTROLS, -1, spp).sum(axis=2)
+            resid = mean32 - targets[tile]
+            g_lane = backward(record, cache, np.repeat(resid / spp, spp))
+            g_pixel = g_lane.reshape(N_CONTROLS, -1, spp).sum(axis=2)
+            for a in range(0, resid.shape[0], self.block):
+                r = resid[a:a + self.block]
+                partials.append((float(0.5 * (r @ r)), g_pixel[:, a:a + self.block].sum(axis=1)))
+            if grad_pixel is not None:
+                grad_pixel[:, tile] = g_pixel
 
-    def evaluate(self, mats, targets, want_grad, want_grad_images):
-        """(pixel sums, vertices, cost, grad, per-pixel grad or None, traced)."""
+    def evaluate(self, mats, targets, want_grad_images):
+        """(pixel sums, vertices, block partials, per-pixel grad or None, traced)."""
         key, spp = mats.value["exponent"].tobytes(), self.spp
         traced = key != self.key
         if traced:
             self.key, self.traced = None, []  # hold one set of records at a time
-        npix = self.pixels.shape[0]
-        pixel_sum = np.empty(npix)
-        resid = np.empty(npix) if want_grad else None
-        grad_pixel = np.empty((N_CONTROLS, npix)) if want_grad else None
+        npix = self.tiles[-1].stop
+        pixel_sum, partials = np.empty(npix), []
+        grad_pixel = (np.empty((N_CONTROLS, npix))
+                      if targets is not None and want_grad_images else None)
         for i, tile in enumerate(self.tiles):
             if traced:
-                pixels = self.pixels[tile]
+                pixels = np.arange(self.lo + tile.start, self.lo + tile.stop, dtype=np.int64)
                 record, n_vertices = trace_lanes(
                     self.prims, self.cam, mats.kind, mats.absorb, mats.value["exponent"],
                     self.seed, np.repeat(pixels, spp),
                     np.tile(np.arange(spp, dtype=np.int64), pixels.shape[0]), self.max_depth)
                 self.traced.append((record, n_vertices))
-            self._sweep(self.traced[i][0], tile, mats, targets, pixel_sum, resid, grad_pixel)
+            with np.errstate(over="ignore", invalid="ignore"):  # Session.evaluate checks
+                self._sweep(self.traced[i][0], tile, mats, targets, pixel_sum, partials, grad_pixel)
         self.key = key
-        # reduced over the whole chunk, whatever its tiles
-        cost = float(0.5 * (resid @ resid)) if want_grad else 0.0
-        grad = grad_pixel.sum(axis=1) if want_grad else np.zeros(N_CONTROLS)
-        return (pixel_sum, sum(n for _, n in self.traced), cost, grad,
-                grad_pixel if want_grad_images else None, traced)
+        return pixel_sum, sum(n for _, n in self.traced), partials, grad_pixel, traced
 
 
 def _serve(conn, chunks):
@@ -492,16 +496,16 @@ def _serve(conn, chunks):
 class Session:
     """Evaluations of one scene at one spp, seed and depth cap, many thetas.
 
-    The scene is flattened once into primitive tables and its pixel range
-    split into min(threads, pixels) chunks, each traced and swept in tiles
-    of ``TILE_LANES`` lanes.  With more than one chunk the first evaluation
-    starts one worker process per pool slot, and worker ``w`` owns chunks
-    ``w, w + n, ...`` for the life of the session, so each tile's record
-    stays in the process that traced it and only the resolved material
-    table, the target slices and the results cross the pipes.  ``traces``
-    counts chunk traces (every tile of the chunk); an evaluation whose
-    exponents match a chunk's records replays them instead.  Use as a
-    context manager, or call ``close``, to stop the workers.  A worker
+    The scene is flattened once into primitive tables and its pixels cut
+    into blocks of max(1, BLOCK_LANES // spp) pixels and then into
+    min(threads, blocks) chunks of whole blocks, so ``threads`` changes no
+    output bit.  With more than one chunk the first evaluation starts one
+    worker process per pool slot, and worker ``w`` owns chunks ``w, w + n,
+    ...`` for the life of the session, so each tile's record stays in the
+    process that traced it and only the resolved material table, the target
+    slices and the results cross the pipes.  ``traces`` counts evaluations
+    that traced; one whose exponents match the records replays them.  Use
+    as a context manager, or call ``close``, to stop the workers.  A worker
     found dead surfaces as ChildProcessError (see ``_run``).
     """
 
@@ -510,11 +514,12 @@ class Session:
         self.materials, self.camera = list(scene.materials), scene.camera
         self.width, self.height, self.spp = scene.camera.width, scene.camera.height, spp
         npix = self.width * self.height
-        n_chunks = min(threads, npix)
-        self._bounds = [(npix * i) // n_chunks for i in range(n_chunks + 1)]
+        block = max(1, BLOCK_LANES // spp)
+        n_blocks = -(-npix // block)
+        n_chunks = min(threads, n_blocks)
+        self._bounds = [min(npix, block * (n_blocks * i // n_chunks)) for i in range(n_chunks + 1)]
         prims = _flat_prims(scene)
-        self._chunks = [_Chunk(prims, scene.camera, np.arange(lo, hi, dtype=np.int64),
-                               spp, seed, max_depth)
+        self._chunks = [_Chunk(prims, scene.camera, lo, hi, block, spp, seed, max_depth)
                         for lo, hi in zip(self._bounds, self._bounds[1:])]
         self._n_workers = 0 if n_chunks == 1 else min(n_chunks, os.cpu_count() or 1)
         self._workers = []  # (process, connection) per pool slot once started
@@ -580,28 +585,33 @@ class Session:
 
         Returns a path_engine.TraceOutput.  ``target_rows`` is the (height, width) float64
         target, or None without gradients.  Raises ValueError for controls
-        outside the domain material_table accepts, on every call.
+        outside the domain material_table accepts, on every call, or so large
+        that the image (as float32), cost or gradient is not finite.
         """
         mats = material_table(self.materials, theta)
-        flat = target_rows.reshape(-1) if target_rows is not None else None
-        jobs = [(mats, flat[lo:hi] if flat is not None else None, want_grad,
-                 want_grad_images) for lo, hi in zip(self._bounds, self._bounds[1:])]
-        pixel_sums, n_verts, costs, grads, grad_pixels, traced = zip(*self._run(jobs))
-        self.traces += sum(traced)
-        cost = 0.0
-        grad = np.zeros(N_CONTROLS)
-        for c, g in zip(costs, grads):  # fixed chunk order -> bit-stable reduction
-            cost += c
-            grad += g
+        flat = target_rows.reshape(-1) if want_grad else None
+        jobs = [(mats, flat[lo:hi] if want_grad else None, want_grad_images)
+                for lo, hi in zip(self._bounds, self._bounds[1:])]
+        pixel_sums, n_verts, partials, grad_pixels, traced = zip(*self._run(jobs))
+        self.traces += any(traced)
+        cost, grad = 0.0, np.zeros(N_CONTROLS)
         shape = (self.height, self.width)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, g in (p for chunk in partials for p in chunk):  # in block order
+                cost += c
+                grad += g
+            image = ScalarImage(self.width, self.height,
+                                (np.concatenate(pixel_sums) / self.spp).reshape(shape))
+        for name, value in (("image", image.data), ("cost", cost), ("gradient", grad)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"non-finite {name} at theta {theta.values}")
         grad_images = None
         if want_grad and want_grad_images:
             grad_images = np.concatenate(grad_pixels, axis=1).reshape(N_CONTROLS, *shape)
-        pixel_mean = (np.concatenate(pixel_sums) / self.spp).reshape(shape)
         n_samples = self._bounds[-1] * self.spp
-        return TraceOutput(image=ScalarImage(self.width, self.height, pixel_mean),
-                           cost=cost, grad=GradientVector(grad), sample_count=n_samples,
-                           mean_depth=sum(n_verts) / n_samples, grad_images=grad_images)
+        return TraceOutput(image=image, cost=cost, grad=GradientVector(grad),
+                           sample_count=n_samples, mean_depth=sum(n_verts) / n_samples,
+                           grad_images=grad_images)
 
     def render_target(self, theta):
         """Target rows of the image at theta: rendered in this session (so an

@@ -109,7 +109,7 @@ def _common_options(fn):
                       default=DEFAULT_MAX_DEPTH, show_default=True,
                       help="Path length cap.")(fn)
     fn = click.option("--threads", type=click.IntRange(min=1), default=1,
-                      show_default=True, help="Worker processes for pixel chunks.")(fn)
+                      show_default=True, help="Most worker processes.")(fn)
     fn = click.option("--theta", "theta_text", type=str, default=None,
                       help="Override the 7 controls, comma separated.")(fn)
     return fn

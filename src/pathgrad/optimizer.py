@@ -138,7 +138,12 @@ def optimize(scene, theta0, target, config=None, callback=None):
         if rows is None:
             rows = session.render_target(target)
         for it in range(config.n_iterations + 1):
-            cost, grad = total_cost_and_grad(session, theta, rows, config)
+            try:
+                cost, grad = total_cost_and_grad(session, theta, rows, config)
+            except ValueError as exc:  # bad input at the start, a divergence after a step
+                if not it:
+                    raise
+                raise DivergenceError(f"iteration {it}: {exc}") from None
             gnorm = float(np.linalg.norm(grad))
             if not (math.isfinite(cost) and math.isfinite(gnorm)):
                 raise DivergenceError(

@@ -207,11 +207,11 @@ def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
     adjoint (mean - target) / spp, the exact derivative of that cost with
     respect to the sample's radiance.  A ControlVector ``target`` is the
     image rendered at those controls in the same trace session, which
-    replays its paths while the lobe exponents match theta's.  Outputs are
-    bit-stable for a fixed worker count; per-pixel values do not depend on
-    the worker count at all.  Raises ValueError for spp, max_depth or
-    threads below 1, a target that target_rows rejects, or controls outside
-    the domain material_table accepts.
+    replays its paths while the lobe exponents match theta's.  ``threads``
+    caps the worker processes; no output bit depends on it.  Raises
+    ValueError for spp, max_depth or threads below 1, a target that
+    target_rows rejects, controls outside the domain material_table accepts,
+    or controls that make the image (as float32), cost or gradient non-finite.
     """
     from . import _wavefront
 

@@ -135,6 +135,12 @@ def test_bare_command_shows_help(capsys):
     ["render", "--cornell", "--width", "2", "--height", "2", "--spp", "1",
      "--theta", "1,.1,.6,.4,-1,.1,.7"],            # no lane samples the lobe here
     ["gradients", *CORNELL_SMALL, "--target", "nan.pfm"],
+    ["render", "--cornell", "--width", "8", "--height", "8", "--spp", "1",
+     "--theta", "1e300,.1,.6,.4,20,.1,.7"],        # was an inf image
+    ["render", "--cornell", "--width", "8", "--height", "8", "--spp", "1",
+     "--theta", "1,.1,.6,.4,20,1e308,1e308"],      # was overflow warnings and an inf image
+    ["gradients", *CORNELL_SMALL, "--target-self",
+     "--theta", "1e200,.1,.6,.4,20,.1,.7"],        # was an inf cost and gradient
 ])
 def test_domain_errors_exit_one_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -146,7 +152,7 @@ def test_domain_errors_exit_one_with_one_line(argv, tmp_path, monkeypatch, capsy
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-    assert not (tmp_path / "render.pfm").exists()
+    assert [f.name for f in tmp_path.iterdir()] == ["nan.pfm"]  # no output written
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -209,14 +215,15 @@ def test_target_theta_needs_target_self(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("truth, traces_per_chunk", [
+@pytest.mark.parametrize("truth, traces", [
     (None, 1),                          # the current theta
     ("1,.1,.6,.4,20,.1,.9", 1),         # another wall diffuse: the same paths
     ("1,.1,.6,.4,35,.1,.7", 2),         # another exponent: other paths
 ])
 def test_gradients_self_target_renders_in_the_gradient_session(
-        monkeypatch, tmp_path, capsys, threads, truth, traces_per_chunk):
+        monkeypatch, tmp_path, capsys, threads, truth, traces):
     from pathgrad import _wavefront
+    monkeypatch.setattr(_wavefront, "BLOCK_LANES", 16)  # 8 blocks: a chunk per thread
     sessions = []
 
     class Recording(_wavefront.Session):
@@ -228,7 +235,8 @@ def test_gradients_self_target_renders_in_the_gradient_session(
     argv = ["gradients", *CORNELL_SMALL, "--threads", str(threads), "--target-self"]
     argv += ["--target-theta", truth] if truth else []
     assert main([*argv, "-o", str(tmp_path / "g")]) == 0
-    assert len(sessions) == 1 and sessions[0].traces == traces_per_chunk * threads
+    assert len(sessions) == 1 and sessions[0].traces == traces
+    assert len(sessions[0]._chunks) == threads
     # the same figures as a target rendered in its own run
     monkeypatch.undo()
     target = tmp_path / "t"
@@ -341,11 +349,12 @@ def test_optimize_divergence_exits_three(tmp_path, capsys):
     target = tmp_path / "target.pfm"
     target.write_bytes(write_pfm(
         ScalarImage(8, 8, np.full((8, 8), 1e38, dtype=np.float32))))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["optimize", *CORNELL_SMALL, "--target", str(target),
-                     "--lr", "1.0", "--iterations", "5"])
+    code = main(["optimize", *CORNELL_SMALL, "--target", str(target),
+                 "--lr", "1.0", "--iterations", "5"])
     assert code == 3
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("optimization diverged: iteration 1: non-finite ")
 
 
 def test_optimize_non_finite_step_exits_three(capsys):

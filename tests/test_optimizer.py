@@ -112,9 +112,8 @@ def test_divergence_raises():
     # an absurd target makes the first step overshoot into overflow
     target = ScalarImage(8, 8, np.full((8, 8), 1e38, dtype=np.float32))
     cfg = OptimConfig(learning_rate=1.0, n_iterations=5, spp=2, seed=42)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match="non-finite"):
-            optimize(scene, theta, target, cfg)
+    with pytest.raises(DivergenceError, match="non-finite"):
+        optimize(scene, theta, target, cfg)
 
 
 def test_non_finite_step_raises_divergence():
