@@ -31,8 +31,7 @@ from .path_engine import (DEFAULT_MAX_DEPTH, forward_pass, trace_image,
 from .scene_io import (ScalarImage, SceneError, build_cornell_box,
                        gradient_preview, parse_scene, read_pfm, serialize_scene,
                        write_pfm, write_ppm_preview)
-from .validation import (EPS_LADDER, build_lattice_ensemble,
-                         build_single_path_ensemble, compare_gradients)
+from .validation import EPS_LADDER, build_lattice_ensemble, compare_gradients
 
 
 class _FiniteRange(click.FloatRange):
@@ -188,8 +187,6 @@ def gradients(scene_path, cornell, width, height, spp, seed, max_depth,
 @_common_options
 @click.option("--grid", type=click.IntRange(min=1), default=8, show_default=True,
               help="Frozen ensemble is grid x grid paths (default 64 total).")
-@click.option("--single-path", is_flag=True,
-              help="Freeze only the center-pixel path.")
 @click.option("--eps", "eps_values", type=_FiniteRange(min=0.0, min_open=True),
               multiple=True,
               help="Step sizes (repeatable); default ladder "
@@ -197,19 +194,16 @@ def gradients(scene_path, cornell, width, height, spp, seed, max_depth,
 @click.option("--control", "controls", type=int, multiple=True,
               help="Restrict to these controls (repeatable); default all 7.")
 def validate(scene_path, cornell, width, height, spp, seed, max_depth,
-             threads, theta_text, grid, single_path, eps_values, controls):
+             threads, theta_text, grid, eps_values, controls):
     """Check backward-pass gradients against frozen-path finite differences.
 
     Exit code reflects agreement at eps = 1e-4 when that step is exercised;
-    other steps are reported as diagnostics.
+    other steps are reported as diagnostics.  Controls that make the frozen
+    cost or gradient non-finite are bad input (exit 1).
     """
     scene, theta = _load_scene(scene_path, cornell, width, height, theta_text)
-    if single_path:
-        ensemble = build_single_path_ensemble(scene, theta, seed=seed,
-                                              max_depth=max_depth)
-    else:
-        ensemble = build_lattice_ensemble(scene, theta, seed=seed, grid=grid,
-                                          max_depth=max_depth)
+    ensemble = build_lattice_ensemble(scene, theta, seed=seed, grid=grid,
+                                      max_depth=max_depth)
     report = compare_gradients(ensemble, theta,
                                eps_list=tuple(eps_values) or EPS_LADDER,
                                controls=list(controls) or None)

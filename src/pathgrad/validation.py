@@ -1,13 +1,13 @@
 """Finite-difference validation of backward-pass gradients on frozen paths.
 
 The backward sweep claims to differentiate the cost of a *fixed* set of
-light paths.  Freezing an ensemble of paths (geometry, lobe choices, and the
-raw uniforms behind them) turns the renderer into an ordinary deterministic
+light paths.  Freezing an ensemble of paths (materials hit, lobe choices and
+the uniforms behind them) turns the renderer into an ordinary deterministic
 function of the controls, which central differences can check to near
 machine precision.  This module builds such ensembles, replays them at
 perturbed controls, and reports per-control agreement across a ladder of
-step sizes.  Paths are frozen by the scalar tracer, the independent
-reference, and replayed through the vectorized sweeps trace_image ships.
+step sizes.  The scalar tracer, the independent reference, freezes each path;
+the ensemble reads it once into the record that trace_image's sweeps replay.
 
 It also carries the closed-form chain model used as an exact oracle: a
 straight run of N-1 identical reflections into an emissive cap has camera
@@ -32,28 +32,25 @@ REL_TOL = 1e-3
 ABS_FLOOR = 1e-9
 
 
-@dataclass
 class FrozenEnsemble:
-    """Fixed paths plus per-path target radiances; replayable at any theta."""
-    paths: list
-    targets: np.ndarray
-    label: str = ""
-    materials: list = field(init=False, repr=False)  # Material per record id
-    record: object = field(init=False, repr=False)     # _wavefront.PathRecord
+    """The record of frozen paths (any iterable of Paths, read once and not
+    kept), plus per-path target radiances; replayable at any theta."""
 
-    def __post_init__(self):
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.targets.shape != (len(self.paths),):
+    def __init__(self, paths, targets, label=""):
+        self.materials, self.record = _record_of(paths)
+        self.targets = np.asarray(targets, dtype=np.float64)
+        self.label = label
+        if self.targets.shape != (self.n_paths,):
             raise ValueError("one target radiance per path required")
-        self.materials, self.record = _record_of(self.paths)
 
     @property
     def n_paths(self):
-        return len(self.paths)
+        return self.record.n_lanes
 
 
 def _record_of(paths):
-    """(materials by id, the sweeps' view of frozen paths, one lane per path)."""
+    """(materials by id, the sweeps' view of frozen paths, one lane per path),
+    in one pass that appends each continuation vertex to its depth's columns."""
     # loaded on first use, not by `import pathgrad`
     from ._wavefront import PathRecord, id_dtype, lobe_groups
     ids = {}  # id(material) -> (material id, material)
@@ -61,22 +58,24 @@ def _record_of(paths):
     def mat_id(material):
         return ids.setdefault(id(material), (len(ids), material))[0]
 
-    vertex_ids, emitters = [], {}  # per lane: continuation vertex ids; emitter id
+    depths = []  # per depth: lanes, material ids, LobeTags, u1
+    emitters = {}  # lane -> emitter material id
+    n_lanes = 0
     for lane, path in enumerate(paths):
-        vertex_ids.append([mat_id(v.material) for v in path.vertices[:path.continuation_count]])
+        n_lanes = lane + 1
+        for d, v in enumerate(path.vertices[:path.continuation_count]):
+            if d == len(depths):
+                depths.append(([], [], [], []))
+            for column, value in zip(depths[d], (lane, mat_id(v.material), v.tag, v.u1)):
+                column.append(value)
         if path.terminal_kind is TerminalKind.EMITTER:
             emitters[lane] = mat_id(path.vertices[-1].material)
     dtype = id_dtype(len(ids))
-    rows = []
-    for d in range(max(map(len, vertex_ids), default=0)):
-        lanes = [lane for lane, vs in enumerate(vertex_ids) if len(vs) > d]
-        verts = [paths[lane].vertices[d] for lane in lanes]
-        rows.append(lobe_groups(np.array(lanes, dtype=np.int64),
-                                np.array([vertex_ids[lane][d] for lane in lanes], dtype=dtype),
-                                np.array([v.tag for v in verts]),
-                                np.array([v.u1 for v in verts])))
+    rows = [lobe_groups(np.array(lanes, dtype=np.int64), np.array(mats, dtype=dtype),
+                        np.array(tags), np.array(u1))
+            for lanes, mats, tags, u1 in depths]
     return ([m for _, m in ids.values()],
-            PathRecord(len(paths), rows, np.array(list(emitters), dtype=np.int64),
+            PathRecord(n_lanes, rows, np.array(list(emitters), dtype=np.int64),
                        np.array(list(emitters.values()), dtype=dtype)))
 
 
@@ -85,8 +84,9 @@ def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
                            label="lattice"):
     """Freeze one camera path per cell of a grid x grid pixel lattice.
 
-    Raises ValueError unless 1 <= grid <= min(width, height): a finer grid
-    would freeze some pixels twice and weight their paths double.
+    Each Path dies once read into the record.  Raises ValueError unless
+    1 <= grid <= min(width, height): a finer grid would freeze some pixels
+    twice and weight their paths double.
     """
     cam = scene.camera
     if grid < 1:
@@ -94,35 +94,25 @@ def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
     if grid > min(cam.width, cam.height):
         raise ValueError(f"lattice grid {grid} exceeds the {cam.width}x{cam.height} image: "
                          f"at most {min(cam.width, cam.height)} cells per side")
-    paths = []
-    for j in range(grid):
-        for i in range(grid):
-            x = int((i + 0.5) * cam.width / grid)
-            y = int((j + 0.5) * cam.height / grid)
-            pixel = y * cam.width + x
-            paths.append(trace_pixel_sample(scene, theta, pixel, sample_index,
-                                            seed, max_depth))
+    pixels = (int((j + 0.5) * cam.height / grid) * cam.width + int((i + 0.5) * cam.width / grid)
+              for j in range(grid) for i in range(grid))
+    paths = (trace_pixel_sample(scene, theta, pixel, sample_index, seed, max_depth)
+             for pixel in pixels)
     if targets is None:
-        targets = np.zeros(len(paths))
+        targets = np.zeros(grid * grid)
     return FrozenEnsemble(paths, targets, label=label)
 
 
-def build_single_path_ensemble(scene, theta, seed, sample_index=0,
-                               max_depth=DEFAULT_MAX_DEPTH, target=0.0):
-    """Freeze just the center-pixel path (the 1 x 1 lattice), for one-path tables."""
-    return build_lattice_ensemble(scene, theta, seed, grid=1,
-                                  sample_index=sample_index,
-                                  max_depth=max_depth, targets=[target],
-                                  label="single-path")
-
-
 def _sweep(ensemble, theta):
-    """Forward sweep at theta: residuals, mean quadratic cost, sweep cache."""
+    """Forward sweep at theta: residuals, mean quadratic cost (inf or nan on
+    overflow, unwarned), sweep cache."""
     from ._wavefront import forward, material_table
     mats = material_table(ensemble.materials, theta)
-    radiance, cache = forward(ensemble.record, mats)
-    costs, resid = cost_and_adjoint(radiance, ensemble.targets)
-    return resid, float(np.sum(costs)) / ensemble.n_paths, cache
+    with np.errstate(over="ignore", invalid="ignore"):
+        radiance, cache = forward(ensemble.record, mats)
+        costs, resid = cost_and_adjoint(radiance, ensemble.targets)
+        cost = float(np.sum(costs)) / ensemble.n_paths
+    return resid, cost, cache
 
 
 def ensemble_cost(ensemble, theta):
@@ -131,11 +121,16 @@ def ensemble_cost(ensemble, theta):
 
 
 def ensemble_cost_and_grad(ensemble, theta):
-    """Cost plus its exact gradient from one backward sweep over the paths."""
+    """Cost plus its exact gradient from one backward sweep over the paths;
+    ValueError names a cost or gradient that is not finite."""
     from ._wavefront import backward
     resid, cost, cache = _sweep(ensemble, theta)
-    g_lane = backward(ensemble.record, cache, resid / ensemble.n_paths)
-    return cost, GradientVector(g_lane.sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = backward(ensemble.record, cache, resid / ensemble.n_paths).sum(axis=1)
+    for name, value in (("cost", cost), ("gradient", grad)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"non-finite {name} at theta {theta.values}")
+    return cost, GradientVector(grad)
 
 
 def fd_gradient_frozen(ensemble, theta, control, eps):
@@ -172,6 +167,8 @@ class FdRow:
 
     @property
     def passed(self):
+        if not (math.isfinite(self.analytic) and math.isfinite(self.fd)):
+            return False
         if abs(self.analytic) <= ABS_FLOOR and abs(self.fd) <= ABS_FLOOR:
             return True
         return self.rel_err <= REL_TOL

@@ -84,6 +84,7 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
     ["validate", "--cornell", "--eps", "0"],       # no difference step
     ["validate", "--cornell", "--eps", "-1e-4"],
     ["validate", "--cornell", "--eps", "nan"],
+    ["validate", "--cornell", "--single-path"],    # the same path as --grid 1
     ["adjoint-check", "--dim", "0"],               # empty state
     ["adjoint-check", "--n-controls", "0"],
     ["adjoint-check", "--trials", "0"],            # checks nothing
@@ -141,6 +142,8 @@ def test_bare_command_shows_help(capsys):
      "--theta", "1,.1,.6,.4,20,1e308,1e308"],      # was overflow warnings and an inf image
     ["gradients", *CORNELL_SMALL, "--target-self",
      "--theta", "1e200,.1,.6,.4,20,.1,.7"],        # was an inf cost and gradient
+    ["validate", "--cornell", "--width", "8", "--height", "8", "--grid", "2",
+     "--theta", "1,.1,.6,.4,20,1e308,1e308"],      # was warnings, nan rows and exit 2
 ])
 def test_domain_errors_exit_one_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -281,10 +284,10 @@ def test_validate_passes_at_decisive_step(capsys):
 
 def test_validate_report_only_without_decisive_step(capsys):
     code = main(["validate", "--cornell", "--width", "16", "--height", "16",
-                 "--single-path", "--eps", "1e-7", "--control", "7"])
+                 "--grid", "1", "--eps", "1e-7", "--control", "7"])
     stdout = capsys.readouterr().out
     assert code == 0
-    assert "1 frozen path(s) (single-path" in stdout
+    assert "1 frozen path(s) (lattice" in stdout
     assert "RESULT: REPORT-ONLY" in stdout
 
 

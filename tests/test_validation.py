@@ -1,6 +1,7 @@
 """Frozen-ensemble finite-difference checks and the chain oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from numpy.testing import assert_allclose
 
 from pathgrad.materials import GradientVector
 from pathgrad.path_engine import (TerminalKind, backward_pass,
-                                  cost_and_adjoint, forward_pass)
+                                  cost_and_adjoint, forward_pass,
+                                  trace_pixel_sample)
 from pathgrad.scene_io import build_cornell_box
 from pathgrad.validation import (ABS_FLOOR, EPS_LADDER, REL_TOL, FdReport,
                                  FdRow, FrozenEnsemble, analytic_geometric,
                                  build_chain_path, build_lattice_ensemble,
-                                 build_single_path_ensemble, chain_theta,
+                                 chain_theta,
                                  compare_gradients, ensemble_cost,
                                  ensemble_cost_and_grad, fd_gradient_frozen)
 
@@ -74,15 +76,17 @@ def test_ensemble_sweeps_match_scalar_passes():
     # the shipped sweeps replay frozen paths like the scalar passes, up to
     # rounding (summation order, array pow/log)
     scene, theta = build_cornell_box(64, 64)
-    ensemble = build_lattice_ensemble(scene, theta, seed=4, grid=8, max_depth=4,
-                                      targets=np.linspace(0.0, 0.5, 64))
-    assert {p.terminal_kind for p in ensemble.paths} == {
+    # the 8 x 8 lattice, frozen here so the scalar passes can read the paths
+    paths = [trace_pixel_sample(scene, theta, (8 * j + 4) * 64 + 8 * i + 4, 0, 4, 4)
+             for j in range(8) for i in range(8)]
+    ensemble = FrozenEnsemble(paths, np.linspace(0.0, 0.5, 64))
+    assert {p.terminal_kind for p in paths} == {
         TerminalKind.ABSORBED, TerminalKind.EMITTER, TerminalKind.BELOW_HORIZON,
         TerminalKind.MAX_DEPTH}
     n = ensemble.n_paths
     want_cost = 0.0
     want_grad = GradientVector()
-    for path, target in zip(ensemble.paths, ensemble.targets):
+    for path, target in zip(paths, ensemble.targets):
         cost, adj = cost_and_adjoint(forward_pass(path, theta), target)
         want_cost += cost / n
         backward_pass(path, adj / n, theta, want_grad)
@@ -90,16 +94,47 @@ def test_ensemble_sweeps_match_scalar_passes():
     assert_allclose(cost, want_cost, rtol=1e-12)
     assert_allclose(grad.as_array(), want_grad.as_array(), rtol=1e-12)
     assert all(g != 0.0 for g in grad.as_tuple())
+    lattice = build_lattice_ensemble(scene, theta, seed=4, grid=8, max_depth=4,
+                                     targets=np.linspace(0.0, 0.5, 64))
+    lattice_cost, lattice_grad = ensemble_cost_and_grad(lattice, theta)
+    assert (lattice_cost, lattice_grad.as_tuple()) == (cost, grad.as_tuple())
 
 
-def test_single_path_ensemble_center_pixel():
+def test_grid_one_ensemble_center_pixel():
     scene, theta = build_cornell_box(32, 32)
-    ensemble = build_single_path_ensemble(scene, theta, seed=7, target=0.25)
+    ensemble = build_lattice_ensemble(scene, theta, seed=7, grid=1, targets=[0.25])
     assert ensemble.n_paths == 1
-    assert ensemble.label == "single-path"
+    assert ensemble.label == "lattice"
     assert ensemble.targets[0] == 0.25
     cost = ensemble_cost(ensemble, theta)
     assert np.isfinite(cost) and cost >= 0.0
+    center = FrozenEnsemble([trace_pixel_sample(scene, theta, 16 * 32 + 16, 0, 7)], [0.25])
+    assert ensemble_cost(center, theta) == cost
+
+
+def test_ensemble_keeps_the_record_and_no_path():
+    scene, theta = build_cornell_box(16, 16)
+    ensemble = build_lattice_ensemble(scene, theta, seed=3, grid=4)
+    assert set(vars(ensemble)) == {"materials", "record", "targets", "label"}
+    assert ensemble.n_paths == ensemble.record.n_lanes == 16
+    # any iterable of paths, read once
+    chains = FrozenEnsemble((build_chain_path(n) for n in (2, 3)), [0.0, 0.1])
+    assert chains.n_paths == 2
+
+
+def test_lattice_freeze_holds_no_path_copies():
+    # the record costs a few hundred bytes per path; holding the traced
+    # Paths (hits, points, normals, directions) as well would cost ~2.5 KB
+    scene, theta = build_cornell_box(128, 128)
+    build_lattice_ensemble(scene, theta, seed=7, grid=2)  # imports _wavefront untraced
+    tracemalloc.start()
+    try:
+        ensemble = build_lattice_ensemble(scene, theta, seed=7, grid=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ensemble.n_paths == 4096
+    assert peak / ensemble.n_paths <= 600, f"{peak / ensemble.n_paths:.0f} B per path"
 
 
 def test_fd_row_pass_logic():
@@ -116,6 +151,36 @@ def test_fd_row_pass_logic():
     zero = FdRow(control=1, eps=1e-4, analytic=0.0, fd=0.0,
                  cost_plus=0.0, cost_minus=0.0)
     assert zero.rel_err == 0.0 and zero.passed
+
+
+def test_fd_row_with_a_non_finite_value_fails():
+    # max(0.0, nan) is 0.0, which once read as a relative error of 0
+    nan_fd = FdRow(control=1, eps=1e-4, analytic=0.0, fd=float("nan"),
+                   cost_plus=0, cost_minus=0)
+    inf_fd = FdRow(control=1, eps=1e-4, analytic=1.0, fd=float("inf"),
+                   cost_plus=0, cost_minus=0)
+    nan_analytic = FdRow(control=1, eps=1e-4, analytic=float("nan"), fd=0.0,
+                         cost_plus=0, cost_minus=0)
+    assert not (nan_fd.passed or inf_fd.passed or nan_analytic.passed)
+    ok = FdRow(control=2, eps=1e-4, analytic=1.0, fd=1.0, cost_plus=1.0, cost_minus=1.0)
+    report = FdReport(cost=0.5, rows=[ok, nan_fd])
+    assert not report.all_pass
+    assert "RESULT: FAIL" in report.to_text()
+
+
+def test_non_finite_cost_or_gradient_raises_and_fd_rows_mismatch():
+    ensemble = FrozenEnsemble([build_chain_path(3)], np.zeros(1))
+    # (1e200)^2 overflows the radiance: no warning, a named error
+    with pytest.raises(ValueError, match="non-finite cost at theta"):
+        ensemble_cost_and_grad(ensemble, chain_theta(1e200, 1.0))
+    assert ensemble_cost(ensemble, chain_theta(1e200, 1.0)) == math.inf
+    # finite at theta, overflowing at theta + eps: that row is a MISMATCH
+    ensemble = FrozenEnsemble([build_chain_path(2)], np.zeros(1))
+    report = compare_gradients(ensemble, chain_theta(1e154, 1.0), eps_list=(1e154,),
+                               controls=(1,), decisive_eps=1e154)
+    (row,) = report.rows
+    assert row.cost_plus == math.inf and not row.passed
+    assert "RESULT: FAIL" in report.to_text()
 
 
 def test_fd_report_text_and_decisive_gating():
