@@ -35,7 +35,8 @@ from .geometry import FRAME_DEGENERATE_EPS, FRAME_HELPER, FRAME_HELPER_FALLBACK,
 from .materials import (ControlVector, GradientVector, LobeTag, MaterialKind, N_CONTROLS,
                         Q_LOBE, emission_partial, emitter_radiance, roulette_weight, throughput,
                         throughput_partials)
-from .path_engine import TraceOutput, _check_at_least_one, target_rows
+from . import path_engine
+from .path_engine import TraceOutput, _check_at_least_one
 from .sampling import lobe_t, stream_key, uniform
 from .scene_io import ScalarImage
 
@@ -44,6 +45,9 @@ _BINDINGS = ("emission", "ambient", "diffuse", "specular", "exponent")
 TILE_LANES = 1 << 16
 # lanes of a reduction block of whole pixels, whatever the chunks and tiles
 BLOCK_LANES = 1 << 13
+# most pixels a session takes (2048 x 2048): an evaluation's per-pixel arrays,
+# 64 B a pixel with gradient images, then stay under 300 MB
+MAX_PIXELS = 1 << 22
 
 
 @dataclass
@@ -389,36 +393,31 @@ def forward(record, mats):
     return radiance, cache
 
 
-def _scatter(g, control, lanes, amount):
-    """g[control[i], lanes[i]] += amount[i] wherever control[i] is bound."""
-    bound = control >= 0
-    g[control[bound], lanes[bound]] += amount[bound]
-
-
 def backward(record, cache, adjoint):
     """Gradient contributions per lane, shape (N_CONTROLS, lanes).
 
     Sweeps each path camera -> terminal like path_engine.backward_pass,
     starting from the per-lane ``adjoint`` and carrying it through the
     forward sweep's throughput * weight factors.  Every vertex adds each
-    binding partial into the control slot that binding is bound to.
+    binding partial into the control slot that binding is bound to; an
+    unbound binding's -1 adds into a spare last row, which is dropped.
     """
     mats = cache.mats
-    g = np.zeros((N_CONTROLS, record.n_lanes))
+    g = np.zeros((N_CONTROLS + 1, record.n_lanes))
     p = np.array(adjoint, dtype=np.float64)
     for row, radiance_in, throughputs in zip(record.rows, cache.radiance_in, cache.throughput):
         for (tag, lanes, mat, u1), r, f in zip(row, radiance_in, throughputs):
             w = mats.weight[mat]
             p_d = p[lanes]
-            _scatter(g, mats.control["ambient"][mat], lanes, p_d)
+            g[mats.control["ambient"][mat], lanes] += p_d
             for name, amount in throughput_partials(tag, mats.value["specular"][mat],
                                                     mats.value["exponent"][mat], u1, r * w, p_d):
-                _scatter(g, mats.control[name][mat], lanes, amount)
+                g[mats.control[name][mat], lanes] += amount
             p[lanes] = f * w * p_d
     em, m = record.emitters, record.emitter_mat
-    _scatter(g, mats.control["emission"][m], em,
-             emission_partial(mats.base_emission[m], mats.absorb[m], p[em]))
-    return g
+    g[mats.control["emission"][m], em] += emission_partial(mats.base_emission[m],
+                                                           mats.absorb[m], p[em])
+    return g[:N_CONTROLS]
 
 
 class _Chunk:
@@ -480,12 +479,12 @@ class _Chunk:
         return pixel_sum, sum(n for _, n in self.traced), partials, grad_pixel, traced
 
 
-def _serve(conn, chunks):
-    """Worker loop: evaluate the owned chunks per job list until None arrives."""
+def _serve(conn, chunk):
+    """Worker loop: evaluate the owned chunk per job until None arrives."""
     try:
-        while (jobs := conn.recv()) is not None:
+        while (job := conn.recv()) is not None:
             try:
-                out = [chunk.evaluate(*job) for chunk, job in zip(chunks, jobs)]
+                out = chunk.evaluate(*job)
             except Exception as exc:  # raised again by the session
                 out = exc
             conn.send(out)
@@ -498,15 +497,16 @@ class Session:
 
     The scene is flattened once into primitive tables and its pixels cut
     into blocks of max(1, BLOCK_LANES // spp) pixels and then into
-    min(threads, blocks) chunks of whole blocks, so ``threads`` changes no
-    output bit.  With more than one chunk the first evaluation starts one
-    worker process per pool slot, and worker ``w`` owns chunks ``w, w + n,
-    ...`` for the life of the session, so each tile's record stays in the
-    process that traced it and only the resolved material table, the target
-    slices and the results cross the pipes.  ``traces`` counts evaluations
-    that traced; one whose exponents match the records replays them.  Use
-    as a context manager, or call ``close``, to stop the workers.  A worker
-    found dead surfaces as ChildProcessError (see ``_run``).
+    min(threads, blocks, cores) chunks of whole blocks, so ``threads``
+    changes no output bit.  With more than one chunk the first evaluation
+    starts one worker process per chunk, which owns it for the life of the
+    session, so each tile's record stays in the process that traced it and
+    only the resolved material table, the target slices and the results
+    cross the pipes.  ``traces`` counts evaluations that traced; one whose
+    exponents match the records replays them.  Use as a context manager, or
+    call ``close``, to stop the workers.  A worker found dead surfaces as
+    ChildProcessError (see ``_run``).  Raises ValueError for spp, max_depth
+    or threads below 1, or an image of more than MAX_PIXELS.
     """
 
     def __init__(self, scene, spp, seed, threads, max_depth):
@@ -514,15 +514,17 @@ class Session:
         self.materials, self.camera = list(scene.materials), scene.camera
         self.width, self.height, self.spp = scene.camera.width, scene.camera.height, spp
         npix = self.width * self.height
+        if npix > MAX_PIXELS:
+            raise ValueError(f"image of {self.width}x{self.height} pixels is over the "
+                             f"cap of {MAX_PIXELS} pixels")
         block = max(1, BLOCK_LANES // spp)
         n_blocks = -(-npix // block)
-        n_chunks = min(threads, n_blocks)
+        n_chunks = min(threads, n_blocks, os.cpu_count() or 1)
         self._bounds = [min(npix, block * (n_blocks * i // n_chunks)) for i in range(n_chunks + 1)]
         prims = _flat_prims(scene)
         self._chunks = [_Chunk(prims, scene.camera, lo, hi, block, spp, seed, max_depth)
                         for lo, hi in zip(self._bounds, self._bounds[1:])]
-        self._n_workers = 0 if n_chunks == 1 else min(n_chunks, os.cpu_count() or 1)
-        self._workers = []  # (process, connection) per pool slot once started
+        self._workers = []  # (process, connection) per chunk once started
         self.traces = 0
 
     def __enter__(self):
@@ -538,30 +540,28 @@ class Session:
         # spawned worker re-imports numpy and pathgrad: starting two took ~0.4 s on a
         # 2-core host against ~0.01 s forked, a cost every one-shot trace would pay
         ctx = multiprocessing.get_context("fork")
-        n = self._n_workers
-        for w in range(n):
+        for chunk in self._chunks:
             conn, child = ctx.Pipe()
-            proc = ctx.Process(target=_serve, args=(child, self._chunks[w::n]), daemon=True)
+            proc = ctx.Process(target=_serve, args=(child, chunk), daemon=True)
             proc.start()
             child.close()
             self._workers.append((proc, conn))
 
     def _run(self, jobs):
-        """Per-chunk results, in chunk order.
+        """Per-chunk results of one job per chunk, in chunk order.
 
-        Raises ChildProcessError, naming the pool slot and its exit code, when
+        Raises ChildProcessError, naming the worker and its exit code, when
         a worker's pipe is found closed; the next evaluation starts new
         workers, as after any failed one.
         """
-        if not self._n_workers:
-            return [chunk.evaluate(*job) for chunk, job in zip(self._chunks, jobs)]
+        if len(self._chunks) == 1:
+            return [self._chunks[0].evaluate(*jobs[0])]
         if not self._workers:
             self._start()
-        n = len(self._workers)
         replies = []
         try:
             for w, (_, conn) in enumerate(self._workers):
-                conn.send(jobs[w::n])
+                conn.send(jobs[w])
             # every reply is read before any is raised, so the pipes stay in step
             for w, (_, conn) in enumerate(self._workers):
                 replies.append(conn.recv())
@@ -573,24 +573,31 @@ class Session:
         except BaseException:
             self.close()  # the pipes may hold unread replies; the next call restarts
             raise
-        results = [None] * len(jobs)
-        for w, reply in enumerate(replies):
+        for reply in replies:
             if isinstance(reply, BaseException):
                 raise reply
-            results[w::n] = reply
-        return results
+        return replies
 
-    def evaluate(self, theta, target_rows, want_grad, want_grad_images):
-        """Render at theta and, with ``want_grad``, differentiate the image cost.
+    def target_rows(self, target):
+        """The rows ``evaluate`` takes, from a target image checked by
+        path_engine.target_rows, or from a ControlVector rendered in this
+        session first (so an evaluation at its exponents replays its paths)."""
+        if isinstance(target, ControlVector):
+            target = self.evaluate(target).image
+        return path_engine.target_rows(target, self.camera)
 
-        Returns a path_engine.TraceOutput.  ``target_rows`` is the (height, width) float64
-        target, or None without gradients.  Raises ValueError for controls
-        outside the domain material_table accepts, on every call, or so large
-        that the image (as float32), cost or gradient is not finite.
+    def evaluate(self, theta, target_rows=None, want_grad_images=False):
+        """Render at theta and, given ``target_rows``, differentiate the image cost.
+
+        Returns a path_engine.TraceOutput, with per-pixel gradient images if
+        also ``want_grad_images``.  ``target_rows`` come from ``target_rows``.
+        Raises ValueError for controls outside the domain material_table
+        accepts, on every call, or so large that the image or a gradient image
+        (as float32), the cost or the gradient is not finite.
         """
         mats = material_table(self.materials, theta)
-        flat = target_rows.reshape(-1) if want_grad else None
-        jobs = [(mats, flat[lo:hi] if want_grad else None, want_grad_images)
+        flat = None if target_rows is None else target_rows.reshape(-1)
+        jobs = [(mats, None if flat is None else flat[lo:hi], want_grad_images)
                 for lo, hi in zip(self._bounds, self._bounds[1:])]
         pixel_sums, n_verts, partials, grad_pixels, traced = zip(*self._run(jobs))
         self.traces += any(traced)
@@ -602,22 +609,19 @@ class Session:
                 grad += g
             image = ScalarImage(self.width, self.height,
                                 (np.concatenate(pixel_sums) / self.spp).reshape(shape))
-        for name, value in (("image", image.data), ("cost", cost), ("gradient", grad)):
+        checks = [("image", image.data), ("cost", cost), ("gradient", grad)]
+        grad_images = None
+        if flat is not None and want_grad_images:
+            grad_images = np.concatenate(grad_pixels, axis=1).reshape(N_CONTROLS, *shape)
+            with np.errstate(over="ignore"):  # as the images are stored
+                checks.append(("gradient image", grad_images.astype(np.float32)))
+        for name, value in checks:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"non-finite {name} at theta {theta.values}")
-        grad_images = None
-        if want_grad and want_grad_images:
-            grad_images = np.concatenate(grad_pixels, axis=1).reshape(N_CONTROLS, *shape)
         n_samples = self._bounds[-1] * self.spp
         return TraceOutput(image=image, cost=cost, grad=GradientVector(grad),
                            sample_count=n_samples, mean_depth=sum(n_verts) / n_samples,
                            grad_images=grad_images)
-
-    def render_target(self, theta):
-        """Target rows of the image at theta: rendered in this session (so an
-        evaluation at the same exponents replays its paths), quantized through
-        float32 like every evaluation's image and checked by path_engine.target_rows."""
-        return target_rows(self.evaluate(theta, None, False, False).image, self.camera)
 
     def close(self):
         """Stop the workers; a later evaluation starts new ones and traces again."""
@@ -636,9 +640,8 @@ class Session:
 
 
 def trace(scene, theta, spp, seed, target, want_grad, threads, max_depth, want_grad_images):
-    """One evaluation in a one-shot Session; see Session.evaluate.  A
-    ControlVector ``target`` is rendered in that session first (render_target)."""
+    """One evaluation in a one-shot Session: with ``want_grad``, Session.evaluate
+    against Session.target_rows(target); without, a render that ignores ``target``."""
     with Session(scene, spp, seed, threads, max_depth) as session:
-        if isinstance(target, ControlVector):
-            target = session.render_target(target)
-        return session.evaluate(theta, target, want_grad, want_grad_images)
+        rows = session.target_rows(target) if want_grad else None
+        return session.evaluate(theta, rows, want_grad_images)

@@ -93,25 +93,48 @@ def _load_scene(scene_path, cornell, width, height, theta_text):
     return scene, theta
 
 
-def _common_options(fn):
+def _scene_options(fn):
     fn = click.option("--cornell", is_flag=True,
                       help="Use the built-in box scene.")(fn)
     fn = click.option("--width", type=click.IntRange(min=1), default=None,
                       help="Override image width.")(fn)
     fn = click.option("--height", type=click.IntRange(min=1), default=None,
                       help="Override image height.")(fn)
-    fn = click.option("--spp", type=click.IntRange(min=1), default=16,
-                      show_default=True, help="Samples per pixel.")(fn)
     fn = click.option("--seed", type=int, default=42, show_default=True,
                       help="Deterministic stream seed.")(fn)
     fn = click.option("--max-depth", type=click.IntRange(min=1),
                       default=DEFAULT_MAX_DEPTH, show_default=True,
                       help="Path length cap.")(fn)
-    fn = click.option("--threads", type=click.IntRange(min=1), default=1,
-                      show_default=True, help="Most worker processes.")(fn)
     fn = click.option("--theta", "theta_text", type=str, default=None,
                       help="Override the 7 controls, comma separated.")(fn)
     return fn
+
+
+def _common_options(fn):
+    """The scene options plus --spp and --threads."""
+    fn = click.option("--spp", type=click.IntRange(min=1), default=16,
+                      show_default=True, help="Samples per pixel.")(fn)
+    fn = click.option("--threads", type=click.IntRange(min=1), default=1,
+                      show_default=True, help="Most worker processes.")(fn)
+    return _scene_options(fn)
+
+
+def _target_options(fn):
+    fn = click.option("--target", "target_path", type=click.Path(exists=True),
+                      default=None, help="Target PFM image.")(fn)
+    fn = click.option("--target-theta", type=str, default=None,
+                      help="Render the target from these controls instead (same seed).")(fn)
+    return fn
+
+
+def _target(target_path, target_theta):
+    """The target image from a PFM file, xor the controls to render it from in
+    the trace session, which replays those paths while the exponents match."""
+    if (target_path is None) == (target_theta is None):
+        raise click.UsageError("provide exactly one of --target / --target-theta")
+    if target_path is not None:
+        return read_pfm(pathlib.Path(target_path).read_bytes())
+    return _parse_theta_option(target_theta)
 
 
 @click.group()
@@ -146,29 +169,15 @@ def render(scene_path, cornell, width, height, spp, seed, max_depth, threads,
 @cli.command()
 @click.argument("scene_path", required=False, type=click.Path(exists=True))
 @_common_options
-@click.option("--target", "target_path", type=click.Path(exists=True),
-              default=None, help="Target PFM image.")
-@click.option("--target-self", is_flag=True,
-              help="Render the target in-process (same seed) at --target-theta.")
-@click.option("--target-theta", type=str, default=None,
-              help="Controls for --target-self; defaults to the current theta.")
+@_target_options
 @click.option("-o", "--out", default="grad", show_default=True,
               help="Output prefix for the image and per-control gradients.")
 def gradients(scene_path, cornell, width, height, spp, seed, max_depth,
-              threads, theta_text, target_path, target_self, target_theta, out):
+              threads, theta_text, target_path, target_theta, out):
     """Differentiate the image cost; writes 8 images (render + 7 gradients)."""
     scene, theta = _load_scene(scene_path, cornell, width, height, theta_text)
-    if (target_path is not None) == target_self:
-        raise click.UsageError("provide exactly one of --target / --target-self")
-    if target_theta is not None and not target_self:
-        raise click.UsageError("--target-theta needs --target-self")
-    if target_self:  # rendered in the session that then differentiates
-        target = (_parse_theta_option(target_theta)
-                  if target_theta is not None else theta)
-    else:
-        target = read_pfm(pathlib.Path(target_path).read_bytes())
     result = trace_image(scene, theta, spp=spp, seed=seed, threads=threads,
-                         max_depth=max_depth, target=target,
+                         max_depth=max_depth, target=_target(target_path, target_theta),
                          compute_gradients=True, want_grad_images=True)
     click.echo(f"cost J = {result.cost:.12e}")
     for k in range(1, N_CONTROLS + 1):
@@ -216,10 +225,7 @@ def validate(scene_path, cornell, width, height, spp, seed, max_depth,
 @cli.command()
 @click.argument("scene_path", required=False, type=click.Path(exists=True))
 @_common_options
-@click.option("--target", "target_path", type=click.Path(exists=True),
-              default=None, help="Target PFM to match.")
-@click.option("--target-theta", type=str, default=None,
-              help="Render the target from these controls instead (same seed).")
+@_target_options
 @click.option("--lr", type=_FiniteRange(), default=4e-5, show_default=True,
               help="Learning rate.")
 @click.option("--iterations", type=click.IntRange(min=0), default=100, show_default=True)
@@ -236,12 +242,7 @@ def optimize(scene_path, cornell, width, height, spp, seed, max_depth,
              reg, free_text, csv_path, out_scene):
     """Recover controls by projected gradient descent on the image cost."""
     scene, theta = _load_scene(scene_path, cornell, width, height, theta_text)
-    if (target_path is None) == (target_theta is None):
-        raise click.UsageError("provide exactly one of --target / --target-theta")
-    if target_path is not None:
-        target = read_pfm(pathlib.Path(target_path).read_bytes())
-    else:  # rendered in the optimizer's session, which may replay its paths
-        target = _parse_theta_option(target_theta)
+    target = _target(target_path, target_theta)
     config = OptimConfig(learning_rate=lr, n_iterations=iterations,
                          regularization=reg, spp=spp, seed=seed,
                          max_depth=max_depth, threads=threads)
@@ -318,12 +319,12 @@ def adjoint_check(dim, n_controls, trials, seed, rho, inject_noncontractive):
 
 @cli.command("dump-path")
 @click.argument("scene_path", required=False, type=click.Path(exists=True))
-@_common_options
+@_scene_options
 @click.option("--pixel", "pixel_text", type=str, default=None,
               help="Pixel as 'x,y'; default image center.")
 @click.option("--sample", type=click.IntRange(min=0), default=0, show_default=True)
-def dump_path(scene_path, cornell, width, height, spp, seed, max_depth,
-              threads, theta_text, pixel_text, sample):
+def dump_path(scene_path, cornell, width, height, seed, max_depth, theta_text,
+              pixel_text, sample):
     """Trace one camera path and print its vertices."""
     scene, theta = _load_scene(scene_path, cornell, width, height, theta_text)
     cam = scene.camera
@@ -350,7 +351,7 @@ def dump_path(scene_path, cornell, width, height, spp, seed, max_depth,
                 f"at ({p.x:9.3f},{p.y:9.3f},{p.z:9.3f}) "
                 f"n ({n.x:+.3f},{n.y:+.3f},{n.z:+.3f}) tag {v.tag.name:<12}")
         if v.dir_out is not None:
-            f = bsdf_d_pdf(v.material, n, v.dir_in, v.dir_out, v.tag, v.u1, theta)
+            f = bsdf_d_pdf(v.material, v.tag, v.u1, theta)
             line += (f" u ({v.u1:.6f},{v.u2:.6f}) throughput {f:.6f}"
                      f" L_next {v.stored_radiance:.6f}")
         click.echo(line)

@@ -264,15 +264,14 @@ def emission_partial(base_emission, absorb, adjoint):
     return base_emission * adjoint / absorb
 
 
-def bsdf_d_pdf(material, normal, dir_in, dir_out, tag, u1, theta):
+def bsdf_d_pdf(material, tag, u1, theta):
     """Throughput of one sampled bounce of ``material`` (see ``throughput``)."""
     return throughput(tag, material.diffuse.resolve(theta),
                       material.specular.resolve(theta),
                       material.exponent.resolve(theta), u1)
 
 
-def accumulate_gradients(material, normal, dir_in, dir_out, tag, u1,
-                         radiance, adjoint, theta, grad):
+def accumulate_gradients(material, tag, u1, radiance, adjoint, theta, grad):
     """Add this vertex's gradient contributions for every bound control.
 
     ``radiance`` is the roulette-weighted radiance the vertex reflects and

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .materials import ControlVector, N_CONTROLS
-from .path_engine import DEFAULT_MAX_DEPTH, target_rows
+from .path_engine import DEFAULT_MAX_DEPTH
 
 DEFAULT_LOWER = (0.0,) * N_CONTROLS
 # cosine-lobe exponents beyond this sample so tightly the estimator is useless
@@ -92,16 +92,17 @@ def total_cost_and_grad(session, theta, target, config):
     """Image cost plus Tikhonov term, with matching gradient.
 
     ``session`` is a _wavefront.Session of the scene at the config's spp,
-    seed, threads and depth cap; ``target`` holds the rows target_rows
+    seed, threads and depth cap; ``target`` holds the rows its target_rows
     returned.
     """
-    out = session.evaluate(theta, target, want_grad=True, want_grad_images=False)
+    out = session.evaluate(theta, target)
     cost = out.cost
     grad = out.grad.as_array()
     if config.regularization != 0.0:
         t = theta.as_array()
-        cost += 0.5 * config.regularization * float(t @ t)
-        grad = grad + config.regularization * t
+        with np.errstate(over="ignore", invalid="ignore"):  # optimize checks the sums
+            cost += 0.5 * config.regularization * float(t @ t)
+            grad = grad + config.regularization * t
     return cost, grad
 
 
@@ -119,24 +120,21 @@ def gd_step(theta, grad, config):
 def optimize(scene, theta0, target, config=None, callback=None):
     """Run projected gradient descent; returns the full trajectory.
 
-    ``target`` is the image to match, or a ControlVector to render it from
-    in the run's own session, at the config's settings, quantized to float32
-    like trace_image's image; while its exponents equal the start's, the
-    first iteration re-sweeps the target's paths.  The trajectory records
-    cost/gradient at each visited iterate, including the final one (with its
-    gradient evaluated but no step taken).  Raises ValueError for the inputs
-    trace_image rejects, and DivergenceError; either way the session's
-    workers are stopped.
+    ``target`` is the image to match, or a ControlVector to render it from;
+    the run's session resolves either (Session.target_rows), and while the
+    target's exponents equal the start's, the first iteration re-sweeps its
+    paths.  The trajectory records cost/gradient at each visited iterate,
+    including the final one (with its gradient evaluated but no step taken).
+    Raises ValueError for the inputs trace_image rejects, and
+    DivergenceError; either way the session's workers are stopped.
     """
     from ._wavefront import Session  # loaded on first use, not by `import pathgrad`
 
     config = config or OptimConfig()
-    rows = None if isinstance(target, ControlVector) else target_rows(target, scene.camera)
     theta = ControlVector.from_array(project(theta0.as_array(), config))
     trajectory = OptimTrajectory()
     with Session(scene, config.spp, config.seed, config.threads, config.max_depth) as session:
-        if rows is None:
-            rows = session.render_target(target)
+        rows = session.target_rows(target)
         for it in range(config.n_iterations + 1):
             try:
                 cost, grad = total_cost_and_grad(session, theta, rows, config)
@@ -144,7 +142,8 @@ def optimize(scene, theta0, target, config=None, callback=None):
                 if not it:
                     raise
                 raise DivergenceError(f"iteration {it}: {exc}") from None
-            gnorm = float(np.linalg.norm(grad))
+            with np.errstate(over="ignore"):  # a finite gradient's norm may overflow
+                gnorm = float(np.linalg.norm(grad))
             if not (math.isfinite(cost) and math.isfinite(gnorm)):
                 raise DivergenceError(
                     f"non-finite cost or gradient at iteration {it} "

@@ -21,9 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .geometry import Hit, Ray, intersect_scene
-from .materials import (ControlVector, GradientVector, LobeTag, Material, MaterialKind,
-                        accumulate_gradients, ambient_of, bsdf_d_pdf, emitted,
-                        roulette_weight, sample_direction)
+from .materials import (GradientVector, LobeTag, Material, MaterialKind, accumulate_gradients,
+                        ambient_of, bsdf_d_pdf, emitted, roulette_weight, sample_direction)
 from .sampling import RngStream
 from .scene_io import ScalarImage
 
@@ -121,7 +120,7 @@ def forward_pass(path, theta):
         v = path.vertices[k]
         v.stored_radiance = radiance
         w = roulette_weight(v.material.absorb)
-        f = bsdf_d_pdf(v.material, v.hit.normal, v.dir_in, v.dir_out, v.tag, v.u1, theta)
+        f = bsdf_d_pdf(v.material, v.tag, v.u1, theta)
         radiance = ambient_of(v.material, theta) + f * radiance * w
     return radiance
 
@@ -140,14 +139,12 @@ def backward_pass(path, adjoint_seed, theta, grad=None):
     for k in range(path.continuation_count):
         v = path.vertices[k]
         w = roulette_weight(v.material.absorb)
-        accumulate_gradients(v.material, v.hit.normal, v.dir_in, v.dir_out,
-                             v.tag, v.u1, v.stored_radiance * w, p, theta, grad)
-        f = bsdf_d_pdf(v.material, v.hit.normal, v.dir_in, v.dir_out, v.tag, v.u1, theta)
+        accumulate_gradients(v.material, v.tag, v.u1, v.stored_radiance * w, p, theta, grad)
+        f = bsdf_d_pdf(v.material, v.tag, v.u1, theta)
         p = f * w * p
     if path.terminal_kind is TerminalKind.EMITTER:
         v = path.vertices[-1]
-        accumulate_gradients(v.material, v.hit.normal, v.dir_in, None,
-                             LobeTag.NONE, 0.0, 0.0, p, theta, grad)
+        accumulate_gradients(v.material, LobeTag.NONE, 0.0, 0.0, p, theta, grad)
     return grad
 
 
@@ -205,19 +202,13 @@ def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
     gradients requested, each pixel contributes 0.5 * (mean - target)^2 to the
     cost and every sample's backward pass is seeded with the per-pixel
     adjoint (mean - target) / spp, the exact derivative of that cost with
-    respect to the sample's radiance.  A ControlVector ``target`` is the
-    image rendered at those controls in the same trace session, which
-    replays its paths while the lobe exponents match theta's.  ``threads``
-    caps the worker processes; no output bit depends on it.  Raises
-    ValueError for spp, max_depth or threads below 1, a target that
-    target_rows rejects, controls outside the domain material_table accepts,
-    or controls that make the image (as float32), cost or gradient non-finite.
+    respect to the sample's radiance.  ``target`` is an image, or controls
+    to render it from; the trace session resolves it (_wavefront.Session).
+    ``threads`` caps the worker processes; no output bit depends on it.
+    Raises ValueError for what Session, Session.target_rows or
+    Session.evaluate reject.
     """
     from . import _wavefront
 
-    if not compute_gradients:
-        target = None
-    elif not isinstance(target, ControlVector):
-        target = target_rows(target, scene.camera)
     return _wavefront.trace(scene, theta, spp, seed, target, compute_gradients,
                             threads, max_depth, want_grad_images)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, and printed contracts."""
 
+import os
 import subprocess
 import sys
 
@@ -56,7 +57,8 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
     ["render", "--cornell", "--theta", "1,2,3"],   # wrong arity
     ["render", "no-such-file.scn"],                # missing path
     ["gradients", "--cornell"],                    # no target source
-    ["gradients", "--cornell", "--target-self", "--target", "x.pfm"],
+    ["gradients", "--cornell", "--target-self"],   # removed: --target-theta does its job
+    ["gradients", "--cornell", "--target-theta", "1,2,3"],  # wrong arity
     ["optimize", "--cornell"],                     # no target source
     ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
      "--free", "9"],                               # control out of range
@@ -71,6 +73,8 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
     ["render", "--cornell", "--max-depth", "-3"],
     ["dump-path", "--cornell", "--max-depth", "0"],
     ["dump-path", "--cornell", "--sample", "-1"],  # a sample no render traces
+    ["dump-path", "--cornell", "--width", "8", "--height", "8", "--spp", "999",
+     "--threads", "7"],                            # options dump-path would ignore
     ["no-such-command"],
     ["render", "--cornell", "--width", "0"],       # empty raster
     ["render", "--cornell", "--height", "0"],
@@ -100,7 +104,9 @@ def test_render_scene_file_with_overrides(tmp_path, capsys):
     ["optimize", "--cornell", "--target-theta", "1,1,1,1,1,1,1",
      "--reg", "-inf"],
     ["gradients", "--cornell", "--width", "8", "--height", "8", "--spp", "1",
-     "--target", "t8.pfm", "--target-theta", "1,2,3"],  # controls for no self target
+     "--target", "t8.pfm", "--target-theta", "1,2,3"],  # two target sources
+    ["optimize", "--cornell", "--width", "8", "--height", "8", "--spp", "1",
+     "--target", "t8.pfm", "--target-theta", "1,1,1,1,1,1,1"],
 ])
 def test_usage_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -140,10 +146,15 @@ def test_bare_command_shows_help(capsys):
      "--theta", "1e300,.1,.6,.4,20,.1,.7"],        # was an inf image
     ["render", "--cornell", "--width", "8", "--height", "8", "--spp", "1",
      "--theta", "1,.1,.6,.4,20,1e308,1e308"],      # was overflow warnings and an inf image
-    ["gradients", *CORNELL_SMALL, "--target-self",
+    ["gradients", *CORNELL_SMALL, "--target-theta", "1e200,.1,.6,.4,20,.1,.7",
      "--theta", "1e200,.1,.6,.4,20,.1,.7"],        # was an inf cost and gradient
     ["validate", "--cornell", "--width", "8", "--height", "8", "--grid", "2",
      "--theta", "1,.1,.6,.4,20,1e308,1e308"],      # was warnings, nan rows and exit 2
+    ["render", "--cornell", "--width", "2049", "--height", "2048"],  # over the pixel cap
+    ["gradients", "--cornell", "--width", "100000", "--height", "100000",
+     "--target-theta", "1,1,1,1,1,1,1"],           # was allocated until memory ran out
+    ["optimize", "--cornell", "--width", "100000", "--height", "100000",
+     "--target-theta", "1,1,1,1,1,1,1", "--csv", "t.csv"],
 ])
 def test_domain_errors_exit_one_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -194,7 +205,8 @@ def test_malformed_scene_file_exits_one(tmp_path, capsys):
 
 def test_gradients_self_target_is_exactly_zero(tmp_path, capsys):
     out = tmp_path / "g"
-    code = main(["gradients", *CORNELL_SMALL, "--target-self", "-o", str(out)])
+    code = main(["gradients", *CORNELL_SMALL, "--target-theta", "1,.1,.6,.4,20,.1,.7",
+                 "-o", str(out)])
     assert code == 0
     stdout = capsys.readouterr().out
     assert "cost J = 0.000000000000e+00" in stdout
@@ -207,26 +219,27 @@ def test_gradients_self_target_is_exactly_zero(tmp_path, capsys):
     assert np.all(g1.data == 0.0)
 
 
-def test_target_theta_needs_target_self(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["gradients", "optimize"])
+def test_target_comes_from_a_file_or_from_controls(command, tmp_path, capsys):
     target = tmp_path / "t8.pfm"
     target.write_bytes(write_pfm(ScalarImage(8, 8, np.zeros((8, 8), np.float32))))
-    assert main(["gradients", *CORNELL_SMALL, "--target", str(target),
-                 "--target-theta", "1,.1,.6,.4,20,.1,.7"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --target-theta needs --target-self\n"
+    for sources in ([], ["--target", str(target), "--target-theta", "1,.1,.6,.4,20,.1,.7"]):
+        assert main([command, *CORNELL_SMALL, *sources]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: provide exactly one of --target / --target-theta\n"
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("truth, traces", [
-    (None, 1),                          # the current theta
+    ("1,.1,.6,.4,20,.1,.7", 1),         # the current theta
     ("1,.1,.6,.4,20,.1,.9", 1),         # another wall diffuse: the same paths
     ("1,.1,.6,.4,35,.1,.7", 2),         # another exponent: other paths
 ])
 def test_gradients_self_target_renders_in_the_gradient_session(
         monkeypatch, tmp_path, capsys, threads, truth, traces):
     from pathgrad import _wavefront
-    monkeypatch.setattr(_wavefront, "BLOCK_LANES", 16)  # 8 blocks: a chunk per thread
+    monkeypatch.setattr(_wavefront, "BLOCK_LANES", 16)  # 8 blocks: a chunk per thread or core
     sessions = []
 
     class Recording(_wavefront.Session):
@@ -235,16 +248,15 @@ def test_gradients_self_target_renders_in_the_gradient_session(
             sessions.append(self)
 
     monkeypatch.setattr(_wavefront, "Session", Recording)
-    argv = ["gradients", *CORNELL_SMALL, "--threads", str(threads), "--target-self"]
-    argv += ["--target-theta", truth] if truth else []
+    argv = ["gradients", *CORNELL_SMALL, "--threads", str(threads), "--target-theta", truth]
     assert main([*argv, "-o", str(tmp_path / "g")]) == 0
     assert len(sessions) == 1 and sessions[0].traces == traces
-    assert len(sessions[0]._chunks) == threads
+    assert len(sessions[0]._chunks) == min(threads, os.cpu_count())
     # the same figures as a target rendered in its own run
     monkeypatch.undo()
     target = tmp_path / "t"
-    assert main(["render", *CORNELL_SMALL, "--threads", str(threads),
-                 *(["--theta", truth] if truth else []), "-o", str(target)]) == 0
+    assert main(["render", *CORNELL_SMALL, "--threads", str(threads), "--theta", truth,
+                 "-o", str(target)]) == 0
     capsys.readouterr()
     assert main(["gradients", *CORNELL_SMALL, "--threads", str(threads),
                  "--target", str(tmp_path / "t.pfm"), "-o", str(tmp_path / "h")]) == 0

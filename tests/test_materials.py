@@ -95,17 +95,15 @@ def test_emitted_and_ambient_kind_guards():
 
 
 def test_bsdf_d_pdf_values():
-    n = Vec3(0, 0, 1)
-    d_in, d_out = Vec3(0, 0, -1), Vec3(0, 0, 1)
     lam, ph = _lambert(), _phong()
-    assert bsdf_d_pdf(lam, n, d_in, d_out, LobeTag.LAMBERT_ONLY, 0.5, THETA) == 0.7
-    assert_allclose(bsdf_d_pdf(ph, n, d_in, d_out, LobeTag.DIFFUSE, 0.5, THETA),
+    assert bsdf_d_pdf(lam, LobeTag.LAMBERT_ONLY, 0.5, THETA) == 0.7
+    assert_allclose(bsdf_d_pdf(ph, LobeTag.DIFFUSE, 0.5, THETA),
                     0.6 / (1.0 - Q_LOBE))
     expect = 0.4 * sin_m_of(20.0, 0.5) / Q_LOBE
-    assert_allclose(bsdf_d_pdf(ph, n, d_in, d_out, LobeTag.SPECULAR, 0.5, THETA),
+    assert_allclose(bsdf_d_pdf(ph, LobeTag.SPECULAR, 0.5, THETA),
                     expect, rtol=1e-15)
     with pytest.raises(ValueError):
-        bsdf_d_pdf(ph, n, d_in, d_out, LobeTag.NONE, 0.5, THETA)
+        bsdf_d_pdf(ph, LobeTag.NONE, 0.5, THETA)
 
 
 def test_sample_direction_draw_order_lambert():
@@ -159,15 +157,13 @@ def test_sample_direction_below_horizon_returns_none():
 def test_accumulate_emitter_terminal():
     g = GradientVector()
     em = _emitter()
-    accumulate_gradients(em, Vec3(0, 0, 1), Vec3(0, 0, -1), None,
-                         LobeTag.NONE, 0.0, 0.0, 2.0, THETA, g)
+    accumulate_gradients(em, LobeTag.NONE, 0.0, 0.0, 2.0, THETA, g)
     # d(emission * base / absorb)/d theta1 * adjoint
     assert_allclose(g.control(1), 15.0 * 2.0 / 1.0)
     assert all(g.control(k) == 0.0 for k in range(2, 8))
     # unbound emission contributes nothing
     g2 = GradientVector()
-    accumulate_gradients(_emitter(emission=Binding.const(2.0)), Vec3(0, 0, 1),
-                         Vec3(0, 0, -1), None, LobeTag.NONE, 0.0, 0.0, 2.0,
+    accumulate_gradients(_emitter(emission=Binding.const(2.0)), LobeTag.NONE, 0.0, 0.0, 2.0,
                          THETA, g2)
     assert g2.as_tuple() == (0.0,) * N_CONTROLS
 
@@ -175,8 +171,7 @@ def test_accumulate_emitter_terminal():
 def test_accumulate_lambert_vertex():
     g = GradientVector()
     lam = _lambert()
-    accumulate_gradients(lam, Vec3(0, 0, 1), Vec3(0, 0, -1), Vec3(0, 0, 1),
-                         LobeTag.LAMBERT_ONLY, 0.4, 3.0, 0.5, THETA, g)
+    accumulate_gradients(lam, LobeTag.LAMBERT_ONLY, 0.4, 3.0, 0.5, THETA, g)
     assert g.control(6) == 0.5           # ambient: bare adjoint
     assert g.control(7) == 3.0 * 0.5     # diffuse: radiance * adjoint
 
@@ -185,8 +180,7 @@ def test_accumulate_phong_specular_vertex():
     g = GradientVector()
     ph = _phong()
     u1, rad, adj = 0.3, 2.0, 0.25
-    accumulate_gradients(ph, Vec3(0, 0, 1), Vec3(0, 0, -1), Vec3(0, 0, 1),
-                         LobeTag.SPECULAR, u1, rad, adj, THETA, g)
+    accumulate_gradients(ph, LobeTag.SPECULAR, u1, rad, adj, THETA, g)
     assert g.control(2) == adj
     assert g.control(3) == 0.0  # diffuse untouched on the specular branch
     assert_allclose(g.control(4), sin_m_of(20.0, u1) * rad * adj / Q_LOBE)
@@ -195,8 +189,7 @@ def test_accumulate_phong_specular_vertex():
 
 def test_accumulate_phong_diffuse_vertex():
     g = GradientVector()
-    accumulate_gradients(_phong(), Vec3(0, 0, 1), Vec3(0, 0, -1), Vec3(0, 0, 1),
-                         LobeTag.DIFFUSE, 0.9, 2.0, 0.25, THETA, g)
+    accumulate_gradients(_phong(), LobeTag.DIFFUSE, 0.9, 2.0, 0.25, THETA, g)
     assert g.control(2) == 0.25
     assert_allclose(g.control(3), 2.0 * 0.25 / (1.0 - Q_LOBE))
     assert g.control(4) == 0.0 and g.control(5) == 0.0
@@ -205,16 +198,15 @@ def test_accumulate_phong_diffuse_vertex():
 def test_gradient_rules_match_throughput_derivative():
     # d bsdf_d_pdf / d theta_k via FD equals the accumulate increment per unit
     # radiance * adjoint, for every bound directional control
-    n, d_in, d_out = Vec3(0, 0, 1), Vec3(0, 0, -1), Vec3(0, 0, 1)
     ph = _phong()
     h = 1e-7
     for tag, u1 in ((LobeTag.DIFFUSE, 0.5), (LobeTag.SPECULAR, 0.35)):
         for k in (3, 4, 5):
             g = GradientVector()
-            accumulate_gradients(ph, n, d_in, d_out, tag, u1, 1.0, 1.0, THETA, g)
-            up = bsdf_d_pdf(ph, n, d_in, d_out, tag, u1, THETA.with_control(
+            accumulate_gradients(ph, tag, u1, 1.0, 1.0, THETA, g)
+            up = bsdf_d_pdf(ph, tag, u1, THETA.with_control(
                 k, THETA.control(k) + h))
-            dn = bsdf_d_pdf(ph, n, d_in, d_out, tag, u1, THETA.with_control(
+            dn = bsdf_d_pdf(ph, tag, u1, THETA.with_control(
                 k, THETA.control(k) - h))
             assert_allclose(g.control(k), (up - dn) / (2.0 * h),
                             rtol=1e-6, atol=1e-9)

@@ -12,7 +12,7 @@ from pathgrad.optimizer import (DEFAULT_LOWER, DEFAULT_UPPER, DivergenceError,
                                 gd_step, optimize, project,
                                 total_cost_and_grad)
 from pathgrad._wavefront import Session
-from pathgrad.path_engine import target_rows, trace_image
+from pathgrad.path_engine import trace_image
 from pathgrad.scene_io import ScalarImage, build_cornell_box
 
 
@@ -98,8 +98,8 @@ def test_regularization_enters_cost_and_grad():
     target = trace_image(scene, theta, spp=2, seed=1).image
     plain = OptimConfig(spp=2, seed=1)
     reg = OptimConfig(spp=2, seed=1, regularization=0.5)
-    rows = target_rows(target, scene.camera)
     with Session(scene, spp=2, seed=1, threads=1, max_depth=plain.max_depth) as session:
+        rows = session.target_rows(target)
         c0, g0 = total_cost_and_grad(session, theta, rows, plain)
         c1, g1 = total_cost_and_grad(session, theta, rows, reg)
     t = theta.as_array()

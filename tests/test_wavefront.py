@@ -260,18 +260,21 @@ def test_thread_count_does_not_change_pixels():
 def test_thread_count_changes_no_output_bit(monkeypatch, make_scene):
     scene, theta = make_scene()
     rows = np.full((scene.camera.height, scene.camera.width), 0.25)
-    default = _wavefront.trace(scene, theta, 2, 4, rows, True, 1, 16, True)
+    default = _wavefront.trace(scene, theta, 2, 4, ScalarImage.from_rows(rows), True, 1, 16,
+                               True)
     # blocks of 3 pixels at 2 spp, the image's last one short, and 4 blocks a tile:
-    # every chunk holds several tiles, and two or more chunks start workers
+    # every chunk holds several tiles, and two or more chunks start workers; the
+    # cores are counted as 8, so every thread count is a partition of its own
     monkeypatch.setattr(_wavefront, "BLOCK_LANES", 6)
     monkeypatch.setattr(_wavefront, "TILE_LANES", 24)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     outs = []
     for threads in (1, 2, 3, 4, 7):
         with _wavefront.Session(scene, spp=2, seed=4, threads=threads, max_depth=16) as session:
-            outs.append(session.evaluate(theta, rows, True, True))
+            outs.append(session.evaluate(theta, rows, want_grad_images=True))
             assert len(session._chunks) == threads
             assert all(len(chunk.tiles) > 1 for chunk in session._chunks)
-            assert len(session._workers) == (threads > 1) * min(threads, os.cpu_count())
+            assert len(session._workers) == (threads > 1) * threads
     for out in outs[1:]:
         _same_result(out, outs[0])
     # the block size sets the reduction order of cost and gradient alone
@@ -279,13 +282,37 @@ def test_thread_count_changes_no_output_bit(monkeypatch, make_scene):
     assert np.array_equal(outs[0].grad_images, default.grad_images)
 
 
-def test_threads_cap_the_workers():
+def test_threads_cap_the_workers(monkeypatch):
+    # one chunk, and so one worker, per block or per core, whichever is fewer
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     scene, theta = build_cornell_box(32, 32)
     with _wavefront.Session(scene, spp=16, seed=1, threads=64, max_depth=16) as session:
         assert session._bounds == [0, 512, 1024]  # two blocks of 2^13 lanes
-        session.evaluate(theta, None, False, False)
-        assert 0 < len(session._workers) <= os.cpu_count()
+        session.evaluate(theta)
+        assert len(session._workers) == 2
+    monkeypatch.setattr(_wavefront, "BLOCK_LANES", 256)  # 64 blocks of 16 pixels
+    with _wavefront.Session(scene, spp=16, seed=1, threads=64, max_depth=16) as session:
+        assert session._bounds == [0, 336, 672, 1024]
+        session.evaluate(theta)
+        assert len(session._workers) == 3
     assert multiprocessing.active_children() == []
+
+
+def test_pixel_cap_is_checked_before_anything_is_built(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built a chunk")
+
+    monkeypatch.setattr(_wavefront, "_Chunk", unbuilt)
+    side = 1 << 11
+    assert side * side == _wavefront.MAX_PIXELS
+    for width, height in [(side + 1, side), (10**6, 10**6)]:
+        scene, _ = build_cornell_box(width, height)
+        with pytest.raises(ValueError, match=f"{width}x{height} pixels is over the cap"):
+            _wavefront.Session(scene, spp=1, seed=0, threads=1, max_depth=16)
+    monkeypatch.undo()
+    scene, _ = build_cornell_box(side, side)
+    with _wavefront.Session(scene, spp=1, seed=0, threads=1, max_depth=16) as session:
+        assert session._bounds[-1] == _wavefront.MAX_PIXELS  # at the cap, nothing evaluated
 
 
 def test_grad_images_decompose_total_gradient():
@@ -430,7 +457,7 @@ def _same_result(a, b):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_session_replay_is_bit_identical_to_fresh_traces(monkeypatch, threads):
-    monkeypatch.setattr(_wavefront, "BLOCK_LANES", 16)  # 15 blocks: a chunk per thread
+    monkeypatch.setattr(_wavefront, "BLOCK_LANES", 16)  # 15 blocks: a chunk per thread or core
     scene, theta = build_cornell_box(12, 10)
     rows = np.full((10, 12), 0.25)
     # theta7 leaves the paths alone; each theta5 change re-traces every chunk
@@ -438,9 +465,10 @@ def test_session_replay_is_bit_identical_to_fresh_traces(monkeypatch, threads):
     expected_traces = [1, 1, 2, 3]
     with _wavefront.Session(scene, spp=2, seed=9, threads=threads, max_depth=16) as session:
         for t, traces in zip(thetas, expected_traces):
-            got = session.evaluate(t, rows, want_grad=True, want_grad_images=True)
-            assert bool(session._workers) == (threads > 1)
-            fresh = _wavefront.trace(scene, t, 2, 9, rows, True, threads, 16, True)
+            got = session.evaluate(t, rows, want_grad_images=True)
+            assert bool(session._workers) == (min(threads, os.cpu_count()) > 1)
+            fresh = _wavefront.trace(scene, t, 2, 9, ScalarImage.from_rows(rows), True,
+                                     threads, 16, True)
             _same_result(got, fresh)
             assert session.traces == traces
 
@@ -494,18 +522,18 @@ def test_optimize_renders_a_theta_target_in_its_own_session(monkeypatch, threads
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_session_checks_theta_on_a_cache_hit(monkeypatch, threads):
-    monkeypatch.setattr(_wavefront, "BLOCK_LANES", 4)  # 9 blocks: a chunk per thread
+    monkeypatch.setattr(_wavefront, "BLOCK_LANES", 4)  # 9 blocks: a chunk per thread or core
     scene, theta = build_cornell_box(6, 6)
     rows = np.zeros((6, 6))
     with _wavefront.Session(scene, spp=1, seed=0, threads=threads, max_depth=16) as session:
-        first = session.evaluate(theta, rows, True, False)
-        assert bool(session._workers) == (threads > 1)
+        first = session.evaluate(theta, rows)
+        assert bool(session._workers) == (min(threads, os.cpu_count()) > 1)
         # theta7 leaves the exponents, and so the cache key, as they were
         with pytest.raises(ValueError, match="must be finite"):
-            session.evaluate(theta.with_control(7, np.nan), rows, True, False)
+            session.evaluate(theta.with_control(7, np.nan), rows)
         with pytest.raises(ValueError, match="must be finite and >= 0"):
-            session.evaluate(theta.with_control(5, -1.0), rows, True, False)
-        _same_result(session.evaluate(theta, rows, True, False), first)
+            session.evaluate(theta.with_control(5, -1.0), rows)
+        _same_result(session.evaluate(theta, rows), first)
         assert session.traces == 1
 
 
@@ -530,18 +558,20 @@ def test_no_worker_outlives_optimize(monkeypatch):
     with pytest.raises(DivergenceError, match="iteration 1: non-finite image"):
         optimize(scene, theta, huge, config)
     assert multiprocessing.active_children() == []
-    assert pools == [min(2, os.cpu_count())] * 2  # one per run
+    assert pools == ([2, 2] if os.cpu_count() > 1 else [])  # one per run
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_tiles_change_no_bit_and_replay_or_retrace_together(monkeypatch, threads):
-    # 21 lanes make blocks of 7 pixels of 3 samples: 17 blocks and a last one of 1 pixel
+    # 21 lanes make blocks of 7 pixels of 3 samples: 17 blocks and a last one of 1 pixel;
+    # the cores are counted as 4, so 3 threads make 3 chunks
     monkeypatch.setattr(_wavefront, "BLOCK_LANES", 21)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     scene, theta = build_cornell_box(12, 10)
     rows = np.full((10, 12), 0.25)
     thetas = [theta, theta.with_control(7, 0.55), theta.with_control(5, 35.0)]
     with _wavefront.Session(scene, spp=3, seed=9, threads=threads, max_depth=16) as session:
-        whole = [session.evaluate(t, rows, True, True) for t in thetas]
+        whole = [session.evaluate(t, rows, want_grad_images=True) for t in thetas]
         assert all(len(chunk.tiles) == 1 for chunk in session._chunks)
     # 64 lanes hold 3 blocks: tiles of 21 pixels in one chunk of 18 blocks, or in
     # three of 6 blocks each, the last tile short where the image ends
@@ -551,7 +581,7 @@ def test_tiles_change_no_bit_and_replay_or_retrace_together(monkeypatch, threads
         assert sizes == {1: [[21] * 5 + [15]], 3: [[21, 21], [21, 21], [21, 15]]}[threads]
         records = []
         for t, want, traces in zip(thetas, whole, [1, 1, 2]):
-            _same_result(session.evaluate(t, rows, True, True), want)
+            _same_result(session.evaluate(t, rows, want_grad_images=True), want)
             # theta7 replays every tile, theta5 traces every tile again
             assert session.traces == traces
             if threads == 1:  # the chunk lives in this process
@@ -561,7 +591,7 @@ def test_tiles_change_no_bit_and_replay_or_retrace_together(monkeypatch, threads
         assert not any(a is b for a, b in zip(records[1], records[2]))
 
 
-def _transient_bytes(res, want_grad=False):
+def _transient_bytes(res, grad=False):
     """tracemalloc peak minus what stays held, of one evaluation at res^2 x 16."""
     # framed on the floor, so tiles at either size see alike sky, floor and ball: a
     # tile's transients follow how many of its lanes hit, and this compares sizes
@@ -569,10 +599,10 @@ def _transient_bytes(res, want_grad=False):
                                            "camera eye 0 400 -300 look 0 0 0")
                         .replace("res 12 12", f"res {res} {res}"))
     with _wavefront.Session(scene, spp=16, seed=3, threads=1, max_depth=16) as session:
-        rows = np.zeros((res, res)) if want_grad else None
+        rows = np.zeros((res, res)) if grad else None
         tracemalloc.start()
         try:
-            out = session.evaluate(scene.theta, rows, want_grad, False)
+            out = session.evaluate(scene.theta, rows)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -604,7 +634,7 @@ def _record_bytes(record):
 def test_records_keep_only_what_the_sweeps_read():
     scene, theta = build_cornell_box(64, 64)
     with _wavefront.Session(scene, spp=16, seed=3, threads=1, max_depth=16) as session:
-        session.evaluate(theta, np.full((64, 64), 0.25), True, False)
+        session.evaluate(theta, np.full((64, 64), 0.25))
         records = [rec for rec, _ in session._chunks[0].traced]
     groups = [group for rec in records for row in rec.rows for group in row]
     assert {tag for tag, *_ in groups} == {LobeTag.LAMBERT_ONLY, LobeTag.DIFFUSE,
@@ -615,36 +645,39 @@ def test_records_keep_only_what_the_sweeps_read():
 
 
 def test_a_worker_dying_in_an_evaluation_raises_a_named_error(monkeypatch):
-    # 8 blocks: two chunks, so the patched evaluate runs in forked workers only
+    # 8 blocks and 2 cores: two chunks, so the patched evaluate runs in forked workers only
     monkeypatch.setattr(_wavefront, "BLOCK_LANES", 16)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     scene, theta = build_cornell_box(8, 8)
     rows = np.full((8, 8), 0.25)
     with _wavefront.Session(scene, spp=2, seed=9, threads=2, max_depth=16) as session:
-        assert session._n_workers == min(2, os.cpu_count())
+        assert len(session._chunks) == 2
         with monkeypatch.context() as patched:
             # the workers, forked at this evaluation, inherit the patch
             patched.setattr(_wavefront._Chunk, "evaluate", lambda *args: os._exit(3))
             with pytest.raises(ChildProcessError, match=r"exit code 3\b"):
-                session.evaluate(theta, rows, True, True)
+                session.evaluate(theta, rows, want_grad_images=True)
         assert multiprocessing.active_children() == []
-        _same_result(session.evaluate(theta, rows, True, True),
-                     _wavefront.trace(scene, theta, 2, 9, rows, True, 2, 16, True))
+        _same_result(session.evaluate(theta, rows, want_grad_images=True),
+                     _wavefront.trace(scene, theta, 2, 9, ScalarImage.from_rows(rows), True, 2,
+                                      16, True))
         assert session._workers
     assert multiprocessing.active_children() == []
 
 
 def test_a_worker_killed_between_evaluations_raises_a_named_error(monkeypatch):
     monkeypatch.setattr(_wavefront, "BLOCK_LANES", 16)  # 8 blocks: two chunks on workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     scene, theta = build_cornell_box(8, 8)
     rows = np.full((8, 8), 0.25)
     with _wavefront.Session(scene, spp=2, seed=9, threads=2, max_depth=16) as session:
-        first = session.evaluate(theta, rows, True, True)
+        first = session.evaluate(theta, rows, want_grad_images=True)
         worker = session._workers[0][0]
         os.kill(worker.pid, signal.SIGKILL)
         worker.join(timeout=10)
         assert not worker.is_alive()
         with pytest.raises(ChildProcessError, match=rf"worker 0 .*exit code {-signal.SIGKILL}\b"):
-            session.evaluate(theta, rows, True, True)
+            session.evaluate(theta, rows, want_grad_images=True)
         assert multiprocessing.active_children() == []
-        _same_result(session.evaluate(theta, rows, True, True), first)
+        _same_result(session.evaluate(theta, rows, want_grad_images=True), first)
     assert multiprocessing.active_children() == []
