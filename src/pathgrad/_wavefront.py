@@ -3,16 +3,15 @@ trace_image and the optimizer evaluate through.
 
 ``trace_lanes`` traces (pixel, sample) lanes with numpy into a ``PathRecord``,
 draw for draw like the scalar engine's make_path.  All lane state is 1-D
-x/y/z columns (structure of arrays, as in Laine, Karras & Aila, HPG 2013);
-each depth step gathers the in-flight lanes and steps those alone, and each
-primitive's intersection is finished only on the lanes a cheap first test
-leaves.  Every expression keeps geometry's float association term for term,
-and tests hold the two engines to the same paths.  A record keeps, per
-depth and lobe, only the lanes, material ids and (specular) u1 draws that
-``forward``/``backward`` read, in the groups they walk; validation builds
-the same rows from frozen scalar paths and replays them through the same
-sweeps.  Formulas on floats or arrays live once, in sampling and materials;
-only the Vec3 geometry stays twinned here, for the reason geometry gives.
+x/y/z columns (structure of arrays, as in Laine, Karras & Aila, HPG 2013),
+and each depth step gathers the in-flight lanes and steps those alone.  The
+ray formulas it steps with sit beside their Vec3 twins: primary rays on
+scene_io.Camera, intersection, hit normals and frames in geometry, lobe and
+reflection directions and the per-lane draws in sampling; tests hold the
+two forms to the same paths.  A record keeps, per depth and lobe, only the
+lanes, material ids and (specular) u1 draws that ``forward``/``backward``
+read, in the groups they walk; validation freezes its lattices with
+``trace_lanes`` too and replays them through the same sweeps.
 
 A ``Session`` cuts the image into fixed blocks, adds cost and gradient per
 block and then in block order, so no output depends on the worker count.
@@ -31,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FRAME_DEGENERATE_EPS, FRAME_HELPER, FRAME_HELPER_FALLBACK, Sphere, T_MIN
+from .geometry import hit_normals, nearest_hits, prim_table, take
 from .materials import (ControlVector, GradientVector, LobeTag, MaterialKind, N_CONTROLS,
                         Q_LOBE, emission_partial, emitter_radiance, roulette_weight, throughput,
                         throughput_partials)
 from . import path_engine
 from .path_engine import TraceOutput, _check_at_least_one
-from .sampling import lobe_t, stream_key, uniform
+from .sampling import draw, lobe_dirs, reflect_dirs, stream_key, uniform
 from .scene_io import ScalarImage
 
 _BINDINGS = ("emission", "ambient", "diffuse", "specular", "exponent")
@@ -132,164 +131,9 @@ class SweepCache:
     throughput: list
 
 
-@dataclass
-class _Prims:
-    """A scene's primitive tables, indexed by primitive and built once per session."""
-
-    shapes: list         # ("quad", corner, eu, ev, n, nn) / ("sphere", c, r)
-    mat: np.ndarray      # material id
-    normal: list         # x/y/z columns of the quad unit normals
-    center: list         # x/y/z columns of the sphere centers
-    radius: np.ndarray   # sphere radius (> 0, as scenes require), 0 for quads
-
-
-def _flat_prims(scene):
-    shapes, rows = [], []  # rows: quad unit normal, sphere center and radius
-    for p in scene.primitives:
-        if isinstance(p, Sphere):
-            c = np.array(p.center.as_tuple())
-            shapes.append(("sphere", c, float(p.radius)))
-            rows.append([0.0, 0.0, 0.0, *c, p.radius])
-        else:
-            c, eu, ev = (np.array(v.as_tuple()) for v in (p.corner, p.edge_u, p.edge_v))
-            n = np.cross(eu, ev)
-            nn = float(n @ n)
-            shapes.append(("quad", c, eu, ev, n, nn))
-            rows.append([*(n / np.sqrt(nn)), 0.0, 0.0, 0.0, 0.0])
-    cols = list(np.array(rows, dtype=np.float64).reshape(-1, 7).T.copy())
-    return _Prims(shapes, np.array([p.material for p in scene.primitives], dtype=np.int64),
-                  cols[:3], cols[3:6], cols[6])
-
-
-# Vec3.dot and Vec3.cross on x/y/z column triples, term for term
-def _dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross3(a, b):
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
-def _take(columns, idx):
-    return [c[idx] for c in columns]
-
-
-def _frames(z):
-    """Column twin of geometry.make_frame: the x and y axes around unit normals z."""
-    y = _cross3(z, [zk + hk for zk, hk in zip(z, FRAME_HELPER)])
-    cn = np.sqrt(_dot3(y, y))
-    bad = np.flatnonzero(cn < FRAME_DEGENERATE_EPS)
-    if bad.size:
-        zb = _take(z, bad)
-        c2 = _cross3(zb, [zk + hk for zk, hk in zip(zb, FRAME_HELPER_FALLBACK)])
-        for yk, c2k in zip(y, c2):
-            yk[bad] = c2k
-        cn[bad] = np.sqrt(_dot3(c2, c2))
-    y = [yk / cn for yk in y]
-    x = _cross3(y, z)
-    xn = np.sqrt(_dot3(x, x))
-    return [xk / xn for xk in x], y
-
-
-def _camera_rays(cam, pix, jx, jy):
-    """x/y/z columns of the primary-ray directions, as Camera.generate_ray."""
-    sx = (((pix % cam.width).astype(np.float64) + jx) / cam.width * 2.0 - 1.0) * cam.half_w
-    sy = (1.0 - ((pix // cam.width).astype(np.float64) + jy) / cam.height * 2.0) * cam.half_h
-    D = [f + r * sx + u * sy for f, r, u in zip(cam.forward.as_tuple(), cam.right.as_tuple(),
-                                                 cam.upv.as_tuple())]
-    norm = np.sqrt(_dot3(D, D))
-    for c in D:
-        c /= norm
-    return D
-
-
-def _lobe_dirs(z, alpha, u1, u2):
-    """Cosine-power lobe samples around unit normals z, as sampling.sample_cosine_lobe."""
-    x, y = _frames(z)
-    t = lobe_t(alpha, u1)
-    zl, r, phi = np.sqrt(t), np.sqrt(1.0 - t), 2.0 * np.pi * u2
-    a, b = np.cos(phi) * r, np.sin(phi) * r
-    return [xk * a + yk * b + zk * zl for xk, yk, zk in zip(x, y, z)]
-
-
-def _reflect(out, inc, normal, spec):
-    """sampling.sample_phong_reflection, in place, on the lanes ``spec`` of the lobe
-    samples ``out``, incoming from ``inc``; True where they fell below the horizon."""
-    nrm, m = _take(normal, spec), _take(out, spec)
-    m_in = _dot3(m, inc)
-    turn = m_in < 0.0  # m is turned into the incoming hemisphere
-    if turn.any():
-        mn = _dot3(m, nrm)
-        m = [np.where(turn, nk * (2.0 * mn) - mk, mk) for mk, nk in zip(m, nrm)]
-        m_in = _dot3(m, inc)
-    refl = [mk * (2.0 * m_in) - ik for mk, ik in zip(m, inc)]
-    for ok, rk in zip(out, refl):
-        ok[spec] = rk  # a below-horizon lane's direction is never used
-    return _dot3(refl, nrm) <= 0.0
-
-
-def _draw(key, counter):
-    """Next uniform of each lane's stream; advances ``counter`` in place."""
-    counter += np.uint64(1)
-    return uniform(key, counter)
-
-
-def _sphere_hits(c, r, O, Dx, Dy, Dz, best_t):
-    """Rays that hit sphere (c, r) nearer than ``best_t``, and their t."""
-    ocx, ocy, ocz = O[0] - c[0], O[1] - c[1], O[2] - c[2]
-    b = ocx * Dx + ocy * Dy + ocz * Dz
-    disc = b * b - (ocx * ocx + ocy * ocy + ocz * ocz - r * r)
-    idx = np.flatnonzero(disc >= 0.0)
-    b = b[idx]
-    s = np.sqrt(disc[idx])
-    t1 = -b - s
-    t = np.where(t1 > T_MIN, t1, -b + s)
-    win = (t > T_MIN) & (t < best_t[idx])
-    return idx[win], t[win]
-
-
-def _quad_hits(corner, eu, ev, nrm, nn, O, Dx, Dy, Dz, best_t):
-    """Rays that hit the quad nearer than ``best_t``, and their t."""
-    (cx, cy, cz), (nx, ny, nz) = corner, nrm
-    t = Dx * nx + Dy * ny + Dz * nz  # the denominator, divided into in place
-    t[t == 0.0] = np.nan  # rays parallel to the plane miss it
-    np.divide((cx - O[0]) * nx + (cy - O[1]) * ny + (cz - O[2]) * nz, t, out=t)
-    idx = np.flatnonzero((t > T_MIN) & (t < best_t))
-    t = t[idx]
-    ox, oy, oz = O if np.ndim(O[0]) == 0 else _take(O, idx)
-    wx = ox + t * Dx[idx] - cx  # w = hit point - corner
-    wy = oy + t * Dy[idx] - cy
-    wz = oz + t * Dz[idx] - cz
-    # (w x e_v).n and (e_u x w).n, term for term as Vec3.cross then Vec3.dot
-    (ux, uy, uz), (vx, vy, vz) = eu, ev
-    a = ((wy * vz - wz * vy) * nx + (wz * vx - wx * vz) * ny + (wx * vy - wy * vx) * nz) / nn
-    b = ((uy * wz - uz * wy) * nx + (uz * wx - ux * wz) * ny + (ux * wy - uy * wx) * nz) / nn
-    win = (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
-    return idx[win], t[win]
-
-
-def _nearest_hits(prims, O, Dx, Dy, Dz):
-    """(t, primitive index or -1) of each ray's nearest hit, first-declared on ties.
-
-    ``Dx, Dy, Dz`` are the directions' columns.  ``O`` is one origin every ray
-    shares, three floats (the eye, at depth 0), which makes the origin-only
-    terms one scalar per primitive; or one origin per ray, three columns.
-    Each primitive finishes only the rays a cheap test leaves (sphere: the
-    discriminant; quad: the plane distance, beyond T_MIN and nearer than the
-    best hit so far), bit-identically to intersect_scene.
-    """
-    best_t = np.full(Dx.shape[0], np.inf)
-    best_prim = np.full(Dx.shape[0], -1, dtype=np.int64)
-    for i, (shape, *geometry) in enumerate(prims.shapes):
-        hits = _sphere_hits if shape == "sphere" else _quad_hits
-        idx, t = hits(*geometry, O, Dx, Dy, Dz, best_t)
-        best_t[idx] = t
-        best_prim[idx] = i
-    return best_t, best_prim
-
-
 def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
-    """Trace one lane per (pixel, sample); returns (PathRecord, vertex count).
+    """Trace one lane per (pixel, sample) of the scene whose geometry.PrimTable is
+    ``prims``, seen by camera ``cam``; returns (PathRecord, vertex count).
 
     Mirrors make_path exactly, draw for draw.  Of the materials it reads only
     ``kind``, ``absorb`` and the resolved ``exponent`` per material id, and only
@@ -299,7 +143,7 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
     n_lanes = pix.shape[0]
     key = stream_key(seed, pix.astype(np.uint64), smp.astype(np.uint64))
     counter = np.zeros(n_lanes, dtype=np.uint64)
-    D = _camera_rays(cam, pix, _draw(key, counter), _draw(key, counter))  # jitter x, then y
+    D = cam.camera_rays(pix, draw(key, counter), draw(key, counter))  # jitter x, then y
     O = cam.eye.as_tuple()  # every lane starts at the eye: one shared origin until depth 1
     lane = np.arange(n_lanes)
     n_vertices = 0
@@ -308,27 +152,20 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
     em_lane, em_mat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
 
     for d in range(max_depth):
-        t, prim = _nearest_hits(prims, O, *D)
+        t, prim = nearest_hits(prims, O, *D)
         idx = np.flatnonzero(prim >= 0)  # the others escaped
         if not idx.size:
             break
         lane, key, counter, t, prim = (a[idx] for a in (lane, key, counter, t, prim))
-        D = _take(D, idx)
+        D = take(D, idx)
         if d:  # the shared eye needs no gather
-            O = _take(O, idx)
+            O = take(O, idx)
         point = [o + t * c for o, c in zip(O, D)]
-        normal = _take(prims.normal, prim)  # quads; each sphere lane gets (p - c) / r
-        sph = np.flatnonzero(prims.radius[prim] > 0.0)
-        ps = prim[sph]
-        for nk, pk, ck in zip(normal, point, prims.center):
-            nk[sph] = (pk[sph] - ck[ps]) / prims.radius[ps]
-        flip = _dot3(normal, D) > 0.0  # turned toward the ray origin, as geometry does
-        for nk in normal:
-            np.negative(nk, out=nk, where=flip)
+        normal = hit_normals(prims, prim, point, D)
         mat = prims.mat[prim]
         n_vertices += lane.shape[0]
 
-        terminal = _draw(key, counter) < absorb[mat]
+        terminal = draw(key, counter) < absorb[mat]
         is_em = terminal & (kind[mat] == MaterialKind.EMITTER)
         em_lane.append(lane[is_em])
         em_mat.append(mat[is_em])
@@ -338,19 +175,19 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
             break  # the rest end here, at the depth cap or by roulette
         lane, key, counter, mat = lane[idx], key[idx], counter[idx], mat[idx]
         for cols in (D, point, normal):
-            cols[:] = _take(cols, idx)
+            cols[:] = take(cols, idx)
 
         is_phong = kind[mat] == MaterialKind.PHONG
         counter += is_phong  # only glossy vertices draw the lobe pick
         specular = is_phong & (uniform(key, counter) < Q_LOBE)
-        u1 = _draw(key, counter)
-        u2 = _draw(key, counter)
+        u1 = draw(key, counter)
+        u2 = draw(key, counter)
         spec = np.flatnonzero(specular)
         inc = [-c[spec] for c in D]  # all the sampling reads of the incoming rays
-        del D, t, prim, sph, ps, flip  # freed before the step's largest set of lane arrays
-        O, D = point, _lobe_dirs(normal, np.where(specular, exponent[mat], 0.0), u1, u2)
+        del D, t, prim  # freed before the step's largest set of lane arrays
+        O, D = point, lobe_dirs(normal, np.where(specular, exponent[mat], 0.0), u1, u2)
         below = np.zeros(lane.shape[0], dtype=bool)
-        below[spec] = _reflect(D, inc, normal, spec)
+        below[spec] = reflect_dirs(D, inc, normal, spec)
 
         tag = np.where(specular, LobeTag.SPECULAR,
                        np.where(is_phong, LobeTag.DIFFUSE, LobeTag.LAMBERT_ONLY))
@@ -359,7 +196,7 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
             lane, key, counter, mat, tag, u1 = (
                 a[idx] for a in (lane, key, counter, mat, tag, u1))
             for cols in (O, D):
-                cols[:] = _take(cols, idx)
+                cols[:] = take(cols, idx)
         rows.append(lobe_groups(lane, mat.astype(ids), tag, u1))
 
     em_lane = np.concatenate(em_lane)
@@ -521,7 +358,7 @@ class Session:
         n_blocks = -(-npix // block)
         n_chunks = min(threads, n_blocks, os.cpu_count() or 1)
         self._bounds = [min(npix, block * (n_blocks * i // n_chunks)) for i in range(n_chunks + 1)]
-        prims = _flat_prims(scene)
+        prims = prim_table(scene)
         self._chunks = [_Chunk(prims, scene.camera, lo, hi, block, spp, seed, max_depth)
                         for lo, hi in zip(self._bounds, self._bounds[1:])]
         self._workers = []  # (process, connection) per chunk once started

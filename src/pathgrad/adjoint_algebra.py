@@ -89,16 +89,16 @@ def adjoint_of(op, weights):
     return DiscreteOperator(op.matrix.T * w[None, :] / w[:, None])
 
 
-def neumann_solve(op, b, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
+def neumann_solve(op, b, max_terms=DEFAULT_MAX_TERMS):
     """Solve (I - T) x = b by partial sums; raises ConvergenceError if stuck.
 
     Terms are added until the weighted norm of the latest term drops to
-    tol * (1 + ||b||), which for spectral radius rho < 1 bounds the residual
-    ||x - Tx - b|| by the same quantity.
+    DEFAULT_TOL * (1 + ||b||), which for spectral radius rho < 1 bounds the
+    residual ||x - Tx - b|| by the same quantity.
     """
     if op.dim != b.values.shape[0]:
         raise ValueError("operator and field dimensions differ")
-    threshold = tol * (1.0 + b.norm())
+    threshold = DEFAULT_TOL * (1.0 + b.norm())
     term = b.values.copy()
     x = term.copy()
     for _ in range(max_terms):
@@ -120,8 +120,7 @@ def spectral_radius(matrix):
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
-def measurement_duality_check(op, source, measure, tol=DEFAULT_TOL,
-                              max_terms=DEFAULT_MAX_TERMS):
+def measurement_duality_check(op, source, measure):
     """Evaluate one measurement both ways.
 
     Forward: solve u = T u + source, return <measure, u>.
@@ -129,10 +128,10 @@ def measurement_duality_check(op, source, measure, tol=DEFAULT_TOL,
     The two agree up to series truncation.
     """
     _check_weights(source, measure)
-    u = neumann_solve(op, source, tol, max_terms)
+    u = neumann_solve(op, source)
     i_fwd = inner_product(measure, u)
     op_adj = adjoint_of(op, source.weights)
-    v = neumann_solve(op_adj, measure, tol, max_terms)
+    v = neumann_solve(op_adj, measure)
     i_bwd = inner_product(v, source)
     return i_fwd, i_bwd
 
@@ -177,23 +176,23 @@ class LinearStateProblem:
             vec = vec + v * self.db[k]
         return DiscreteField(vec, self.weights)
 
-    def solve(self, theta, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
-        return neumann_solve(self.transport(theta), self.source(theta), tol, max_terms)
+    def solve(self, theta):
+        return neumann_solve(self.transport(theta), self.source(theta))
 
-    def cost(self, theta, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
-        u = self.solve(theta, tol, max_terms)
+    def cost(self, theta):
+        u = self.solve(theta)
         r = DiscreteField(u.values - self.target, self.weights)
         return 0.5 * inner_product(r, r)
 
 
-def adjoint_gradient(problem, theta, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
+def adjoint_gradient(problem, theta):
     """Cost and its exact gradient via one state solve plus one adjoint solve."""
     op = problem.transport(theta)
-    u = problem.solve(theta, tol, max_terms)
+    u = problem.solve(theta)
     resid = DiscreteField(u.values - problem.target, problem.weights)
     cost = 0.5 * inner_product(resid, resid)
     op_adj = adjoint_of(op, problem.weights)
-    p = neumann_solve(op_adj, resid, tol, max_terms)
+    p = neumann_solve(op_adj, resid)
     grad = np.empty(problem.n_controls)
     for k in range(problem.n_controls):
         dE = DiscreteField(problem.dt[k] @ u.values + problem.db[k], problem.weights)
@@ -201,9 +200,9 @@ def adjoint_gradient(problem, theta, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERM
     return cost, grad
 
 
-def fd_gradient_oracle(problem, theta, eps=1e-5, tol=DEFAULT_TOL,
-                       max_terms=DEFAULT_MAX_TERMS):
+def fd_gradient_oracle(problem, theta):
     """Brute-force central differences of the cost over full re-solves."""
+    eps = 1e-5
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.empty(problem.n_controls)
     for k in range(problem.n_controls):
@@ -211,8 +210,7 @@ def fd_gradient_oracle(problem, theta, eps=1e-5, tol=DEFAULT_TOL,
         tp[k] += eps
         tm = theta.copy()
         tm[k] -= eps
-        grad[k] = (problem.cost(tp, tol, max_terms)
-                   - problem.cost(tm, tol, max_terms)) / (2.0 * eps)
+        grad[k] = (problem.cost(tp) - problem.cost(tm)) / (2.0 * eps)
     return grad
 
 

@@ -7,8 +7,9 @@ trace session serves the whole run at a fixed seed: its paths depend on the
 controls only through the lobe exponents, so while those stay put each
 iteration re-sweeps the paths the first one traced, bit-identically to a
 fresh render.  Freezing a control is expressed by giving it equal
-lower and upper bounds.  Non-finite costs, gradients or stepped controls
-abort the run with DivergenceError rather than silently continuing.
+lower and upper bounds.  A non-finite cost or gradient at the start is bad
+input (ValueError); after a step, non-finite costs, gradients or stepped
+controls abort the run with DivergenceError rather than silently continuing.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ def optimize(scene, theta0, target, config=None, callback=None):
     target's exponents equal the start's, the first iteration re-sweeps its
     paths.  The trajectory records cost/gradient at each visited iterate,
     including the final one (with its gradient evaluated but no step taken).
-    Raises ValueError for the inputs trace_image rejects, and
-    DivergenceError; either way the session's workers are stopped.
+    Raises ValueError for the inputs trace_image rejects or a non-finite
+    cost or gradient norm at the start, and DivergenceError after a step;
+    either way the session's workers are stopped.
     """
     from ._wavefront import Session  # loaded on first use, not by `import pathgrad`
 
@@ -145,7 +147,7 @@ def optimize(scene, theta0, target, config=None, callback=None):
             with np.errstate(over="ignore"):  # a finite gradient's norm may overflow
                 gnorm = float(np.linalg.norm(grad))
             if not (math.isfinite(cost) and math.isfinite(gnorm)):
-                raise DivergenceError(
+                raise (DivergenceError if it else ValueError)(
                     f"non-finite cost or gradient at iteration {it} "
                     f"(cost={cost!r}, |grad|={gnorm!r})")
             trajectory.records.append(OptimRecord(it, cost, gnorm,

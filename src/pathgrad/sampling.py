@@ -14,7 +14,10 @@ drawn directly in Cartesian form: with t = lobe_t(alpha, u1) = u1^(2 / (alpha + 
 the sampled direction has frame-local height z = sqrt(t) and tangential radius
 sqrt(1 - t).  alpha = 0 is the Lambert (cosine) lobe.  ``lobe_t``, ``sin_m_of``
 and ``dsin_dalpha`` take floats or per-lane arrays and are shared with
-``_wavefront``; the Vec3 directions built from t stay twinned (see geometry).
+``_wavefront``.  The directions built from t come in two forms, as geometry's
+formulas do: Vec3 (``sample_cosine_lobe``, ``sample_phong_reflection``) and,
+below each, its twin on x/y/z lane columns (``lobe_dirs``, ``reflect_dirs``);
+``draw`` is ``RngStream.next`` on lane arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Vec3, make_frame
+from .geometry import Vec3, dot3, frames, make_frame, take
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -75,6 +78,12 @@ class RngStream:
         return uniform(self.key, self.counter)
 
 
+def draw(key, counter):
+    """Next uniform of each lane's stream; advances ``counter`` in place."""
+    counter += np.uint64(1)
+    return uniform(key, counter)
+
+
 @dataclass(frozen=True, slots=True)
 class LobeSample:
     """Sampled direction plus the uniforms that produced it (kept for replay)."""
@@ -109,6 +118,15 @@ def sample_cosine_lobe(frame, alpha, u1, u2):
     return LobeSample(frame.to_world(math.cos(phi) * r, math.sin(phi) * r, z), u1, u2)
 
 
+def lobe_dirs(z, alpha, u1, u2):
+    """Cosine-power lobe samples around unit normals z, as sample_cosine_lobe."""
+    x, y = frames(z)
+    t = lobe_t(alpha, u1)
+    zl, r, phi = np.sqrt(t), np.sqrt(1.0 - t), 2.0 * np.pi * u2
+    a, b = np.cos(phi) * r, np.sin(phi) * r
+    return [xk * a + yk * b + zk * zl for xk, yk, zk in zip(x, y, z)]
+
+
 def sample_phong_reflection(normal, incoming, alpha, u1, u2):
     """Reflect ``incoming`` about a sampled cosine-power half-vector.
 
@@ -125,6 +143,22 @@ def sample_phong_reflection(normal, incoming, alpha, u1, u2):
     if out.dot(normal) <= 0.0:
         return None
     return out
+
+
+def reflect_dirs(out, inc, normal, spec):
+    """sample_phong_reflection, in place, on the lanes ``spec`` of the lobe
+    samples ``out``, incoming from ``inc``; True where they fell below the horizon."""
+    nrm, m = take(normal, spec), take(out, spec)
+    m_in = dot3(m, inc)
+    turn = m_in < 0.0  # m is turned into the incoming hemisphere
+    if turn.any():
+        mn = dot3(m, nrm)
+        m = [np.where(turn, nk * (2.0 * mn) - mk, mk) for mk, nk in zip(m, nrm)]
+        m_in = dot3(m, inc)
+    refl = [mk * (2.0 * m_in) - ik for mk, ik in zip(m, inc)]
+    for ok, rk in zip(out, refl):
+        ok[spec] = rk  # a below-horizon lane's direction is never used
+    return dot3(refl, nrm) <= 0.0
 
 
 def _check_lobe_args(alpha, u1):

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import Quad, Ray, Sphere, Vec3
+from .geometry import Quad, Ray, Sphere, Vec3, dot3
 from .materials import Binding, ControlVector, Material, MaterialKind, N_CONTROLS
 
 
@@ -104,6 +104,19 @@ class Camera:
              + self.right * (sx * self.half_w)
              + self.upv * (sy * self.half_h))
         return Ray(self.eye, d.normalized(), 0)
+
+    def camera_rays(self, pix, jx, jy):
+        """x/y/z columns of the primary-ray directions through pixels ``pix``
+        (row-major indices) jittered by lane arrays (jx, jy), as generate_ray."""
+        sx = (((pix % self.width).astype(np.float64) + jx) / self.width * 2.0 - 1.0) * self.half_w
+        sy = ((1.0 - ((pix // self.width).astype(np.float64) + jy) / self.height * 2.0)
+              * self.half_h)
+        D = [f + r * sx + u * sy for f, r, u in zip(self.forward.as_tuple(), self.right.as_tuple(),
+                                                     self.upv.as_tuple())]
+        norm = np.sqrt(dot3(D, D))
+        for c in D:
+            c /= norm
+        return D
 
 
 @dataclass
@@ -437,9 +450,9 @@ def _ppm_bytes(width, height, gray):
     return header + rgb.tobytes()
 
 
-def write_ppm_preview(image, gamma=2.2):
-    """8-bit preview: byte = round(255 * clamp(v, 0, 1)^(1/gamma))."""
-    v = np.clip(image.data.astype(np.float64), 0.0, 1.0) ** (1.0 / gamma)
+def write_ppm_preview(image):
+    """8-bit preview: byte = round(255 * clamp(v, 0, 1)^(1/2.2))."""
+    v = np.clip(image.data.astype(np.float64), 0.0, 1.0) ** (1.0 / 2.2)
     gray = np.floor(255.0 * v + 0.5).astype(np.uint8)
     return _ppm_bytes(image.width, image.height, gray)
 

@@ -6,8 +6,10 @@ the uniforms behind them) turns the renderer into an ordinary deterministic
 function of the controls, which central differences can check to near
 machine precision.  This module builds such ensembles, replays them at
 perturbed controls, and reports per-control agreement across a ladder of
-step sizes.  The scalar tracer, the independent reference, freezes each path;
-the ensemble reads it once into the record that trace_image's sweeps replay.
+step sizes.  A lattice is frozen by the tracer trace_image ships
+(_wavefront.trace_lanes) into the record its sweeps replay, so the check
+certifies the very paths and sweeps that render, gradients and optimize run;
+tests hold that record to the scalar engine's paths, lane for lane.
 
 It also carries the closed-form chain model used as an exact oracle: a
 straight run of N-1 identical reflections into an emissive cap has camera
@@ -21,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Hit, Vec3
+from .geometry import Hit, Vec3, prim_table
 from .materials import (Binding, ControlVector, GradientVector, LobeTag,
                         Material)
 from .path_engine import (DEFAULT_MAX_DEPTH, Path, PathVertex, TerminalKind,
-                          cost_and_adjoint, trace_pixel_sample)
+                          _check_at_least_one, cost_and_adjoint)
 
 EPS_LADDER = (1e-1, 1e-4, 1e-7, 1e-10)
 REL_TOL = 1e-3
@@ -33,11 +35,23 @@ ABS_FLOOR = 1e-9
 
 
 class FrozenEnsemble:
-    """The record of frozen paths (any iterable of Paths, read once and not
-    kept), plus per-path target radiances; replayable at any theta."""
+    """The record of frozen paths, from any iterable of Paths (read once and
+    not kept) or, by ``of_record``, as traced; plus per-path target
+    radiances; replayable at any theta."""
 
     def __init__(self, paths, targets, label=""):
-        self.materials, self.record = _record_of(paths)
+        self._hold(*_record_of(paths), targets, label)
+
+    @classmethod
+    def of_record(cls, materials, record, targets, label):
+        """The ensemble of the paths in a PathRecord whose material ids index
+        ``materials``."""
+        ensemble = cls.__new__(cls)
+        ensemble._hold(materials, record, targets, label)
+        return ensemble
+
+    def _hold(self, materials, record, targets, label):
+        self.materials, self.record = materials, record
         self.targets = np.asarray(targets, dtype=np.float64)
         self.label = label
         if self.targets.shape != (self.n_paths,):
@@ -79,28 +93,32 @@ def _record_of(paths):
                        np.array(list(emitters.values()), dtype=dtype)))
 
 
-def build_lattice_ensemble(scene, theta, seed, grid=8, sample_index=0,
-                           max_depth=DEFAULT_MAX_DEPTH, targets=None,
-                           label="lattice"):
-    """Freeze one camera path per cell of a grid x grid pixel lattice.
+def build_lattice_ensemble(scene, theta, seed, grid=8, max_depth=DEFAULT_MAX_DEPTH,
+                           targets=None):
+    """Freeze sample 0 of one camera path per cell of a grid x grid pixel lattice.
 
-    Each Path dies once read into the record.  Raises ValueError unless
-    1 <= grid <= min(width, height): a finer grid would freeze some pixels
-    twice and weight their paths double.
+    Raises ValueError for max_depth below 1, for controls material_table
+    rejects, and unless 1 <= grid <= min(width, height): a finer grid would
+    freeze some pixels twice and weight their paths double.
     """
+    from ._wavefront import material_table, trace_lanes  # loaded on first use
+    _check_at_least_one(max_depth=max_depth)
     cam = scene.camera
     if grid < 1:
         raise ValueError(f"lattice grid must be at least 1, got {grid}")
     if grid > min(cam.width, cam.height):
         raise ValueError(f"lattice grid {grid} exceeds the {cam.width}x{cam.height} image: "
                          f"at most {min(cam.width, cam.height)} cells per side")
-    pixels = (int((j + 0.5) * cam.height / grid) * cam.width + int((i + 0.5) * cam.width / grid)
-              for j in range(grid) for i in range(grid))
-    paths = (trace_pixel_sample(scene, theta, pixel, sample_index, seed, max_depth)
-             for pixel in pixels)
+    lattice = np.array([int((j + 0.5) * cam.height / grid) * cam.width
+                        + int((i + 0.5) * cam.width / grid)
+                        for j in range(grid) for i in range(grid)], dtype=np.int64)
+    mats = material_table(scene.materials, theta)
+    record, _ = trace_lanes(prim_table(scene), cam, mats.kind, mats.absorb,
+                            mats.value["exponent"], seed, pix=lattice,
+                            smp=np.zeros_like(lattice), max_depth=max_depth)
     if targets is None:
         targets = np.zeros(grid * grid)
-    return FrozenEnsemble(paths, targets, label=label)
+    return FrozenEnsemble.of_record(list(scene.materials), record, targets, "lattice")
 
 
 def _sweep(ensemble, theta):

@@ -150,6 +150,13 @@ def test_bare_command_shows_help(capsys):
      "--theta", "1e200,.1,.6,.4,20,.1,.7"],        # was an inf cost and gradient
     ["validate", "--cornell", "--width", "8", "--height", "8", "--grid", "2",
      "--theta", "1,.1,.6,.4,20,1e308,1e308"],      # was warnings, nan rows and exit 2
+    ["validate", "--cornell", "--width", "8", "--height", "8", "--grid", "2",
+     "--theta", "1,.1,.6,.4,-1,.1,.7"],            # a negative exponent
+    ["validate", "--cornell", "--width", "8", "--height", "8", "--grid", "2",
+     "--theta", "1,nan,.6,.4,20,.1,.7"],
+    ["optimize", "--cornell", "--width", "4", "--height", "4", "--spp", "1",
+     "--target-theta", "1,.1,.6,.4,20,.1,.7", "--reg", "1e308",
+     "--iterations", "0"],                         # was exit 3, with no step taken
     ["render", "--cornell", "--width", "2049", "--height", "2048"],  # over the pixel cap
     ["gradients", "--cornell", "--width", "100000", "--height", "100000",
      "--target-theta", "1,1,1,1,1,1,1"],           # was allocated until memory ran out

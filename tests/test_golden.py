@@ -36,6 +36,7 @@ import numpy as np
 
 from pathgrad import _wavefront
 from pathgrad.cli import main
+from pathgrad.geometry import nearest_hits, prim_table
 from pathgrad.path_engine import trace_image
 from pathgrad.scene_io import build_cornell_box, parse_scene
 
@@ -129,12 +130,12 @@ def golden_outputs(work):
                    "--seed", "7", "--grid", "4"])
     got["validate-box 16x16 grid 4 stdout"] = _md5(report.encode())
 
-    prims = _wavefront._flat_prims(parse_scene(OPEN_SCENE + TILTED_QUAD))
+    prims = prim_table(parse_scene(OPEN_SCENE + TILTED_QUAD))
     u = np.random.default_rng(7).random((6, N_RAYS))
     O = [-800.0 + 1600.0 * u[0], 700.0 * u[1], -400.0 + 1400.0 * u[2]]
     D = 2.0 * u[3:] - 1.0
     D /= np.sqrt(np.sum(D * D, axis=0))
-    t, prim = _wavefront._nearest_hits(prims, O, *D)
+    t, prim = nearest_hits(prims, O, *D)
     got["nearest hits open scene + tilted quad"] = _md5(t.tobytes() + prim.tobytes())
     return got
 

@@ -11,13 +11,14 @@ from pathgrad.materials import GradientVector
 from pathgrad.path_engine import (TerminalKind, backward_pass,
                                   cost_and_adjoint, forward_pass,
                                   trace_pixel_sample)
-from pathgrad.scene_io import build_cornell_box
+from pathgrad.scene_io import build_cornell_box, parse_scene
 from pathgrad.validation import (ABS_FLOOR, EPS_LADDER, REL_TOL, FdReport,
-                                 FdRow, FrozenEnsemble, analytic_geometric,
+                                 FdRow, FrozenEnsemble, _record_of, analytic_geometric,
                                  build_chain_path, build_lattice_ensemble,
                                  chain_theta,
                                  compare_gradients, ensemble_cost,
                                  ensemble_cost_and_grad, fd_gradient_frozen)
+from test_wavefront import OPEN_SCENE
 
 
 def test_analytic_geometric_golden():
@@ -98,6 +99,51 @@ def test_ensemble_sweeps_match_scalar_passes():
                                      targets=np.linspace(0.0, 0.5, 64))
     lattice_cost, lattice_grad = ensemble_cost_and_grad(lattice, theta)
     assert (lattice_cost, lattice_grad.as_tuple()) == (cost, grad.as_tuple())
+
+
+def _open_scene():
+    scene = parse_scene(OPEN_SCENE)
+    return scene, scene.theta
+
+
+@pytest.mark.parametrize("make_scene, grid, seed, max_depth", [
+    (lambda: build_cornell_box(16, 16), 16, 5, 16),
+    (lambda: build_cornell_box(24, 16), 9, 2, 3),   # most paths meet the depth cap
+    (_open_scene, 12, 9, 16),                       # many lanes escape
+])
+def test_lattice_record_matches_the_scalar_freeze(make_scene, grid, seed, max_depth):
+    # the scalar engine stays validate's reference: the record trace_lanes
+    # freezes equals, lane for lane, the one read from make_path's Paths
+    scene, theta = make_scene()
+    cam = scene.camera
+    lattice = [int((j + 0.5) * cam.height / grid) * cam.width + int((i + 0.5) * cam.width / grid)
+               for j in range(grid) for i in range(grid)]
+    paths = [trace_pixel_sample(scene, theta, p, 0, seed, max_depth) for p in lattice]
+    want_materials, want = _record_of(paths)
+    ensemble = build_lattice_ensemble(scene, theta, seed=seed, grid=grid, max_depth=max_depth)
+    got = ensemble.record
+
+    def same_materials(ids, materials, want_ids):
+        return len(ids) == len(want_ids) and all(
+            materials[i] is want_materials[j] for i, j in zip(ids, want_ids))
+
+    assert got.n_lanes == want.n_lanes == grid * grid
+    assert len(got.rows) == len(want.rows)
+    for row, want_row in zip(got.rows, want.rows):
+        assert [g[0] for g in row] == [g[0] for g in want_row]
+        for (_, lanes, mat, u1), (_, want_lanes, want_mat, want_u1) in zip(row, want_row):
+            assert np.array_equal(lanes, want_lanes)
+            assert same_materials(mat, ensemble.materials, want_mat)
+            assert (u1 is None) == (want_u1 is None)
+            assert u1 is None or np.array_equal(u1, want_u1)
+    assert np.array_equal(got.emitters, want.emitters)
+    assert same_materials(got.emitter_mat, ensemble.materials, want.emitter_mat)
+    kinds = {p.terminal_kind for p in paths}
+    assert TerminalKind.EMITTER in kinds and TerminalKind.ABSORBED in kinds
+    if make_scene is _open_scene:
+        assert TerminalKind.ESCAPED in kinds
+    elif max_depth == 3:
+        assert TerminalKind.MAX_DEPTH in kinds
 
 
 def test_grid_one_ensemble_center_pixel():
@@ -226,6 +272,9 @@ def test_lattice_and_fd_step_reject_empty_input():
     for grid in (5, 20):
         with pytest.raises(ValueError, match="exceeds the 8x4 image"):
             build_lattice_ensemble(wide, theta, seed=1, grid=grid)
+    for max_depth in (0, -2):  # no vertex to freeze
+        with pytest.raises(ValueError, match="max_depth must be >= 1"):
+            build_lattice_ensemble(scene, theta, seed=1, grid=4, max_depth=max_depth)
     ensemble = build_lattice_ensemble(scene, theta, seed=1, grid=1)
     for eps in (0.0, -1e-4, math.nan, math.inf):
         with pytest.raises(ValueError, match="step"):

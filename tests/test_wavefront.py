@@ -12,7 +12,8 @@ import pytest
 
 from pathgrad import _wavefront
 from pathgrad.geometry import (FRAME_DEGENERATE_EPS, FRAME_HELPER, T_MIN, Quad, Ray, Sphere,
-                               Vec3, intersect_scene, make_frame)
+                               Vec3, frames, intersect_scene, make_frame, nearest_hits,
+                               prim_table)
 from pathgrad.materials import GradientVector, LobeTag, N_CONTROLS
 from pathgrad.optimizer import DivergenceError, OptimConfig, optimize
 from pathgrad.path_engine import (TerminalKind, backward_pass, forward_pass,
@@ -116,17 +117,16 @@ def _reference_hits(prims, rays):
 
 
 def _check_nearest_hits(prims, rays):
-    """_nearest_hits matches intersect_scene exactly, with per-ray and shared origins."""
-    flat = _wavefront._flat_prims(SimpleNamespace(primitives=prims))
+    """nearest_hits matches intersect_scene exactly, with per-ray and shared origins."""
+    flat = prim_table(SimpleNamespace(primitives=prims))
     O = np.array([o for o, _ in rays], dtype=np.float64)
     D = np.array([d for _, d in rays], dtype=np.float64)
-    t, prim = _wavefront._nearest_hits(flat, tuple(O.T.copy()), *D.T.copy())
+    t, prim = nearest_hits(flat, tuple(O.T.copy()), *D.T.copy())
     want_t, want_prim = _reference_hits(prims, rays)
     assert np.array_equal(t, want_t)
     assert np.array_equal(prim, want_prim)
     if np.all(O == O[0]):
-        shared_t, shared_prim = _wavefront._nearest_hits(flat, tuple(O[0].tolist()),
-                                                         *D.T.copy())
+        shared_t, shared_prim = nearest_hits(flat, tuple(O[0].tolist()), *D.T.copy())
         assert np.array_equal(shared_t, t) and np.array_equal(shared_prim, prim)
     return t, prim
 
@@ -180,7 +180,7 @@ def test_column_frames_match_make_frame_on_the_degenerate_fallback_too():
     fallback = [n.cross(n + Vec3(*FRAME_HELPER)).norm() < FRAME_DEGENERATE_EPS
                 for n in normals]
     assert fallback[:2] == [True, True] and not any(fallback[2:])
-    x, y = _wavefront._frames([np.array([getattr(n, c) for n in normals]) for c in "xyz"])
+    x, y = frames([np.array([getattr(n, c) for n in normals]) for c in "xyz"])
     for i, n in enumerate(normals):
         f = make_frame(n)
         assert (x[0][i], x[1][i], x[2][i]) == f.x_axis.as_tuple()
@@ -379,7 +379,7 @@ def _lanes_record(scene, theta, spp, seed, max_depth):
     pix = np.repeat(np.arange(npix, dtype=np.int64), spp)
     smp = np.tile(np.arange(spp, dtype=np.int64), npix)
     mats = _wavefront.material_table(scene.materials, theta)
-    return _wavefront.trace_lanes(_wavefront._flat_prims(scene), scene.camera, mats.kind,
+    return _wavefront.trace_lanes(prim_table(scene), scene.camera, mats.kind,
                                   mats.absorb, mats.value["exponent"], seed, pix, smp,
                                   max_depth)
 
