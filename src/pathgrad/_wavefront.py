@@ -10,8 +10,9 @@ scene_io.Camera, intersection, hit normals and frames in geometry, lobe and
 reflection directions and the per-lane draws in sampling; tests hold the
 two forms to the same paths.  A record keeps, per depth and lobe, only the
 lanes, material ids and (specular) u1 draws that ``forward``/``backward``
-read, in the groups they walk; validation freezes its lattices with
-``trace_lanes`` too and replays them through the same sweeps.
+read, in the groups they walk.  Only this module builds records: by
+``trace_lanes`` (validation's lattices too) and by ``record_of_paths`` from
+the scalar engine's Paths; validation replays both through the same sweeps.
 
 A ``Session`` cuts the image into fixed blocks, adds cost and gradient per
 block and then in block order, so no output depends on the worker count.
@@ -20,7 +21,8 @@ blocks; tiles bound the lane temporaries whatever the image size.  A path
 depends on theta only through the resolved lobe exponents, so each tile
 keeps its record where it was traced and re-sweeps it while the exponents
 stay the same (path replay, as in Vicini, Speierer & Jakob, SIGGRAPH 2021),
-bit-identically to a fresh trace.
+bit-identically to a fresh trace.  The session checks its target
+(``Session.target_rows``) and returns each evaluation as a ``TraceOutput``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from .geometry import hit_normals, nearest_hits, prim_table, take
 from .materials import (ControlVector, GradientVector, LobeTag, MaterialKind, N_CONTROLS,
                         Q_LOBE, emission_partial, emitter_radiance, roulette_weight, throughput,
                         throughput_partials)
-from . import path_engine
-from .path_engine import TraceOutput, _check_at_least_one
+from .path_engine import TerminalKind, _check_at_least_one
 from .sampling import draw, lobe_dirs, reflect_dirs, stream_key, uniform
 from .scene_io import ScalarImage
 
@@ -87,17 +88,25 @@ def material_table(materials, theta):
                  for n in _BINDINGS})
 
 
+def check_finite(theta, *checks):
+    """Raise ValueError naming the first (name, value) of ``checks`` whose value
+    is not finite at theta."""
+    for name, value in checks:
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"non-finite {name} at theta {theta.values}")
+
+
 @dataclass
 class PathRecord:
     """What the sweeps read of a set of paths, one lane per path, laid out as
     they read it.
 
-    ``rows[d]`` holds the paths' d-th continuation vertices as ``lobe_groups``
+    ``rows[d]`` holds the paths' d-th continuation vertices as ``_lobe_groups``
     builds them: one (LobeTag, lanes, material ids, u1) group per lobe sampled
     at that depth, lanes ascending.  Only the specular throughput reads the
     u1 that sampled the bounce, so other groups keep None in its place.
     Directions and hit points are not kept.  Material ids are stored in
-    ``id_dtype`` of the material count.
+    ``_id_dtype`` of the material count.
     """
 
     n_lanes: int
@@ -106,12 +115,12 @@ class PathRecord:
     emitter_mat: np.ndarray  # the id of that emitter
 
 
-def id_dtype(n_materials):
+def _id_dtype(n_materials):
     """Smallest signed integer type holding every material id and -1."""
     return np.min_scalar_type(-max(n_materials, 1))
 
 
-def lobe_groups(lanes, mat, tag, u1):
+def _lobe_groups(lanes, mat, tag, u1):
     """One row of a PathRecord from the vertices of ``lanes`` (ascending) at one
     depth, with their material ids, LobeTag codes and u1 draws."""
     row = []
@@ -147,7 +156,7 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
     O = cam.eye.as_tuple()  # every lane starts at the eye: one shared origin until depth 1
     lane = np.arange(n_lanes)
     n_vertices = 0
-    ids = id_dtype(kind.shape[0])
+    ids = _id_dtype(kind.shape[0])
     rows = []
     em_lane, em_mat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
 
@@ -197,12 +206,42 @@ def trace_lanes(prims, cam, kind, absorb, exponent, seed, pix, smp, max_depth):
                 a[idx] for a in (lane, key, counter, mat, tag, u1))
             for cols in (O, D):
                 cols[:] = take(cols, idx)
-        rows.append(lobe_groups(lane, mat.astype(ids), tag, u1))
+        rows.append(_lobe_groups(lane, mat.astype(ids), tag, u1))
 
     em_lane = np.concatenate(em_lane)
     order = np.argsort(em_lane)  # lanes end at different depths
     return (PathRecord(n_lanes, rows, em_lane[order], np.concatenate(em_mat)[order].astype(ids)),
             n_vertices)
+
+
+def record_of_paths(paths):
+    """(materials by id, the sweeps' view of the scalar engine's frozen Paths,
+    one lane per path), in one pass that appends each continuation vertex to
+    its depth's columns."""
+    ids = {}  # id(material) -> (material id, material)
+
+    def mat_id(material):
+        return ids.setdefault(id(material), (len(ids), material))[0]
+
+    depths = []  # per depth: lanes, material ids, LobeTags, u1
+    emitters = {}  # lane -> emitter material id
+    n_lanes = 0
+    for lane, path in enumerate(paths):
+        n_lanes = lane + 1
+        for d, v in enumerate(path.vertices[:path.continuation_count]):
+            if d == len(depths):
+                depths.append(([], [], [], []))
+            for column, value in zip(depths[d], (lane, mat_id(v.material), v.tag, v.u1)):
+                column.append(value)
+        if path.terminal_kind is TerminalKind.EMITTER:
+            emitters[lane] = mat_id(path.vertices[-1].material)
+    dtype = _id_dtype(len(ids))
+    rows = [_lobe_groups(np.array(lanes, dtype=np.int64), np.array(mats, dtype=dtype),
+                         np.array(tags), np.array(u1))
+            for lanes, mats, tags, u1 in depths]
+    return ([m for _, m in ids.values()],
+            PathRecord(n_lanes, rows, np.array(list(emitters), dtype=np.int64),
+                       np.array(list(emitters.values()), dtype=dtype)))
 
 
 def forward(record, mats):
@@ -329,6 +368,16 @@ def _serve(conn, chunk):
         pass
 
 
+@dataclass
+class TraceOutput:
+    image: ScalarImage
+    cost: float
+    grad: GradientVector
+    sample_count: int
+    mean_depth: float
+    grad_images: np.ndarray | None = None  # (7, height, width) float64
+
+
 class Session:
     """Evaluations of one scene at one spp, seed and depth cap, many thetas.
 
@@ -348,7 +397,7 @@ class Session:
 
     def __init__(self, scene, spp, seed, threads, max_depth):
         _check_at_least_one(spp=spp, max_depth=max_depth, threads=threads)
-        self.materials, self.camera = list(scene.materials), scene.camera
+        self.materials = list(scene.materials)
         self.width, self.height, self.spp = scene.camera.width, scene.camera.height, spp
         npix = self.width * self.height
         if npix > MAX_PIXELS:
@@ -416,17 +465,30 @@ class Session:
         return replies
 
     def target_rows(self, target):
-        """The rows ``evaluate`` takes, from a target image checked by
-        path_engine.target_rows, or from a ControlVector rendered in this
-        session first (so an evaluation at its exponents replays its paths)."""
+        """The rows ``evaluate`` takes, as float64: a target image's, or those of
+        a ControlVector rendered in this session first (so an evaluation at its
+        exponents replays its paths).
+
+        Raises ValueError for a missing target, one whose resolution differs
+        from the camera's, or one with non-finite pixels.
+        """
         if isinstance(target, ControlVector):
             target = self.evaluate(target).image
-        return path_engine.target_rows(target, self.camera)
+        if target is None:
+            raise ValueError("the image cost gradient requires a target image")
+        if (target.width, target.height) != (self.width, self.height):
+            raise ValueError(
+                f"target resolution {target.width}x{target.height} does not match "
+                f"camera resolution {self.width}x{self.height}")
+        rows = target.data.astype(np.float64)
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("target image has non-finite pixels")
+        return rows
 
     def evaluate(self, theta, target_rows=None, want_grad_images=False):
         """Render at theta and, given ``target_rows``, differentiate the image cost.
 
-        Returns a path_engine.TraceOutput, with per-pixel gradient images if
+        Returns a TraceOutput, with per-pixel gradient images if
         also ``want_grad_images``.  ``target_rows`` come from ``target_rows``.
         Raises ValueError for controls outside the domain material_table
         accepts, on every call, or so large that the image or a gradient image
@@ -452,9 +514,7 @@ class Session:
             grad_images = np.concatenate(grad_pixels, axis=1).reshape(N_CONTROLS, *shape)
             with np.errstate(over="ignore"):  # as the images are stored
                 checks.append(("gradient image", grad_images.astype(np.float32)))
-        for name, value in checks:
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"non-finite {name} at theta {theta.values}")
+        check_finite(theta, *checks)
         n_samples = self._bounds[-1] * self.spp
         return TraceOutput(image=image, cost=cost, grad=GradientVector(grad),
                            sample_count=n_samples, mean_depth=sum(n_verts) / n_samples,

@@ -338,9 +338,12 @@ def dump_path(scene_path, cornell, width, height, seed, max_depth, theta_text,
     if not (0 <= x < cam.width and 0 <= y < cam.height):
         raise click.UsageError(
             f"pixel ({x},{y}) outside 0..{cam.width - 1} x 0..{cam.height - 1}")
+    from ._wavefront import check_finite, material_table  # loaded on first use
+    material_table(scene.materials, theta)  # rejects the controls render rejects
     path = trace_pixel_sample(scene, theta, y * cam.width + x, sample, seed,
                               max_depth)
     radiance = forward_pass(path, theta)
+    check_finite(theta, ("radiance", radiance))
     terminal = path.terminal_kind.name.title().replace("_", " ")
     click.echo(f"pixel ({x},{y}) sample {sample} seed {seed}: "
                f"{len(path.vertices)} vertices, radiance {radiance:.9f}, "

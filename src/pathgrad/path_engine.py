@@ -11,6 +11,11 @@ with the geometry and uniforms held fixed.
 Russian roulette uses one termination draw per vertex (u < absorb ends the
 path; emitters have absorb = 1 so they always terminate) and the surviving
 radiance is compensated by 1 / (1 - absorb) symmetrically in both passes.
+
+This is the scalar reference engine, which tests hold the shipped tracer to
+and dump-path prints.  _wavefront owns the PathRecord, the TraceOutput and the
+target check; trace_image stays here as the entry point perfbench imports by
+name, and loads _wavefront on its first call, not on `import pathgrad`.
 """
 
 from __future__ import annotations
@@ -18,13 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .geometry import Hit, Ray, intersect_scene
 from .materials import (GradientVector, LobeTag, Material, MaterialKind, accumulate_gradients,
                         ambient_of, bsdf_d_pdf, emitted, roulette_weight, sample_direction)
 from .sampling import RngStream
-from .scene_io import ScalarImage
 
 DEFAULT_MAX_DEPTH = 16
 
@@ -166,34 +168,6 @@ def trace_pixel_sample(scene, theta, pixel_index, sample_index, seed,
     return make_path(ray, scene, theta, rng, max_depth)
 
 
-@dataclass
-class TraceOutput:
-    image: ScalarImage
-    cost: float
-    grad: GradientVector
-    sample_count: int
-    mean_depth: float
-    grad_images: np.ndarray | None = None  # (7, height, width) float64
-
-
-def target_rows(target, camera):
-    """The target image as float64 rows, checked against the camera.
-
-    Raises ValueError for a missing target, one whose resolution differs
-    from the camera's, or one with non-finite pixels.
-    """
-    if target is None:
-        raise ValueError("the image cost gradient requires a target image")
-    if (target.width, target.height) != (camera.width, camera.height):
-        raise ValueError(
-            f"target resolution {target.width}x{target.height} does not match "
-            f"camera resolution {camera.width}x{camera.height}")
-    rows = target.data.astype(np.float64)
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("target image has non-finite pixels")
-    return rows
-
-
 def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
                 threads=1, max_depth=DEFAULT_MAX_DEPTH, want_grad_images=False):
     """Render the scene; optionally differentiate a quadratic image cost.
@@ -205,8 +179,8 @@ def trace_image(scene, theta, spp, seed, target=None, compute_gradients=False,
     respect to the sample's radiance.  ``target`` is an image, or controls
     to render it from; the trace session resolves it (_wavefront.Session).
     ``threads`` caps the worker processes; no output bit depends on it.
-    Raises ValueError for what Session, Session.target_rows or
-    Session.evaluate reject.
+    Returns a _wavefront.TraceOutput.  Raises ValueError for what Session,
+    Session.target_rows or Session.evaluate reject.
     """
     from . import _wavefront
 

@@ -9,11 +9,12 @@ perturbed controls, and reports per-control agreement across a ladder of
 step sizes.  A lattice is frozen by the tracer trace_image ships
 (_wavefront.trace_lanes) into the record its sweeps replay, so the check
 certifies the very paths and sweeps that render, gradients and optimize run;
-tests hold that record to the scalar engine's paths, lane for lane.
+tests hold that record to the scalar engine's paths, lane for lane.  Paths
+built by hand are read into a record by _wavefront.record_of_paths.
 
 It also carries the closed-form chain model used as an exact oracle: a
 straight run of N-1 identical reflections into an emissive cap has camera
-radiance L0 = theta_d^(N-1) * theta_e * E with hand-computable derivatives.
+radiance L0 = theta_d^(N-1) * theta_e with hand-computable derivatives.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class FrozenEnsemble:
     radiances; replayable at any theta."""
 
     def __init__(self, paths, targets, label=""):
-        self._hold(*_record_of(paths), targets, label)
+        from ._wavefront import record_of_paths  # loaded on first use
+        self._hold(*record_of_paths(paths), targets, label)
 
     @classmethod
     def of_record(cls, materials, record, targets, label):
@@ -60,37 +62,6 @@ class FrozenEnsemble:
     @property
     def n_paths(self):
         return self.record.n_lanes
-
-
-def _record_of(paths):
-    """(materials by id, the sweeps' view of frozen paths, one lane per path),
-    in one pass that appends each continuation vertex to its depth's columns."""
-    # loaded on first use, not by `import pathgrad`
-    from ._wavefront import PathRecord, id_dtype, lobe_groups
-    ids = {}  # id(material) -> (material id, material)
-
-    def mat_id(material):
-        return ids.setdefault(id(material), (len(ids), material))[0]
-
-    depths = []  # per depth: lanes, material ids, LobeTags, u1
-    emitters = {}  # lane -> emitter material id
-    n_lanes = 0
-    for lane, path in enumerate(paths):
-        n_lanes = lane + 1
-        for d, v in enumerate(path.vertices[:path.continuation_count]):
-            if d == len(depths):
-                depths.append(([], [], [], []))
-            for column, value in zip(depths[d], (lane, mat_id(v.material), v.tag, v.u1)):
-                column.append(value)
-        if path.terminal_kind is TerminalKind.EMITTER:
-            emitters[lane] = mat_id(path.vertices[-1].material)
-    dtype = id_dtype(len(ids))
-    rows = [lobe_groups(np.array(lanes, dtype=np.int64), np.array(mats, dtype=dtype),
-                        np.array(tags), np.array(u1))
-            for lanes, mats, tags, u1 in depths]
-    return ([m for _, m in ids.values()],
-            PathRecord(n_lanes, rows, np.array(list(emitters), dtype=np.int64),
-                       np.array(list(emitters.values()), dtype=dtype)))
 
 
 def build_lattice_ensemble(scene, theta, seed, grid=8, max_depth=DEFAULT_MAX_DEPTH,
@@ -141,13 +112,11 @@ def ensemble_cost(ensemble, theta):
 def ensemble_cost_and_grad(ensemble, theta):
     """Cost plus its exact gradient from one backward sweep over the paths;
     ValueError names a cost or gradient that is not finite."""
-    from ._wavefront import backward
+    from ._wavefront import backward, check_finite
     resid, cost, cache = _sweep(ensemble, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = backward(ensemble.record, cache, resid / ensemble.n_paths).sum(axis=1)
-    for name, value in (("cost", cost), ("gradient", grad)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"non-finite {name} at theta {theta.values}")
+    check_finite(theta, ("cost", cost), ("gradient", grad))
     return cost, GradientVector(grad)
 
 
@@ -248,25 +217,24 @@ def compare_gradients(ensemble, theta, eps_list=EPS_LADDER, controls=None,
 # ---------------------------------------------------------------------------
 # closed-form chain oracle
 
-def chain_materials(base_emission=1.0, diffuse_control=1, emission_control=2):
-    """A link material (pure reflection by theta_d) and an emissive cap."""
+def chain_materials():
+    """A link material (pure reflection by theta_d, control 1) and an emissive
+    cap (theta_e, control 2, base emission E = 1)."""
     link = Material.lambert(name="link", ambient=Binding.const(0.0),
-                            diffuse=Binding.ctl(diffuse_control), absorb=0.0)
-    cap = Material.emitter(name="cap", emission=Binding.ctl(emission_control),
-                           base_emission=base_emission, absorb=1.0)
+                            diffuse=Binding.ctl(1), absorb=0.0)
+    cap = Material.emitter(name="cap", emission=Binding.ctl(2), base_emission=1.0, absorb=1.0)
     return link, cap
 
 
-def build_chain_path(n_segments, base_emission=1.0, diffuse_control=1,
-                     emission_control=2):
+def build_chain_path(n_segments):
     """Straight path with n_segments-1 identical reflections into an emitter.
 
-    Camera radiance replays to theta_d^(n_segments-1) * theta_e * E; the
+    Camera radiance replays to theta_d^(n_segments-1) * theta_e; the
     geometry is immaterial because the reflection factor is direction-free.
     """
     if n_segments < 1:
         raise ValueError("need at least the emitter segment")
-    link, cap = chain_materials(base_emission, diffuse_control, emission_control)
+    link, cap = chain_materials()
     up = Vec3(0.0, 0.0, 1.0)
     down = Vec3(0.0, 0.0, -1.0)
     vertices = []
@@ -280,29 +248,25 @@ def build_chain_path(n_segments, base_emission=1.0, diffuse_control=1,
     return Path(vertices=vertices, terminal_kind=TerminalKind.EMITTER)
 
 
-def analytic_geometric(n_segments, theta_d, theta_e, base_emission=1.0,
-                       target=0.0):
+def analytic_geometric(n_segments, theta_d, theta_e, target=0.0):
     """Closed-form cost and gradient of the chain model.
 
-    L0 = theta_d^(N-1) * theta_e * E,  J = 0.5 (L0 - target)^2,
-    dJ/dtheta_d = (L0 - target)(N-1) theta_d^(N-2) theta_e E,
-    dJ/dtheta_e = (L0 - target) theta_d^(N-1) E.
+    L0 = theta_d^(N-1) * theta_e,  J = 0.5 (L0 - target)^2,
+    dJ/dtheta_d = (L0 - target)(N-1) theta_d^(N-2) theta_e,
+    dJ/dtheta_e = (L0 - target) theta_d^(N-1).
     """
     n_refl = n_segments - 1
-    radiance = theta_d ** n_refl * theta_e * base_emission
+    radiance = theta_d ** n_refl * theta_e
     resid = radiance - target
     cost = 0.5 * resid * resid
     if n_refl == 0:
         g_d = 0.0
     else:
-        g_d = resid * n_refl * theta_d ** (n_refl - 1) * theta_e * base_emission
-    g_e = resid * theta_d ** n_refl * base_emission
+        g_d = resid * n_refl * theta_d ** (n_refl - 1) * theta_e
+    g_e = resid * theta_d ** n_refl
     return cost, radiance, g_d, g_e
 
 
-def chain_theta(theta_d, theta_e, diffuse_control=1, emission_control=2):
+def chain_theta(theta_d, theta_e):
     """Control vector holding the two chain controls, ones elsewhere."""
-    values = [1.0] * 7
-    values[diffuse_control - 1] = theta_d
-    values[emission_control - 1] = theta_e
-    return ControlVector.of(*values)
+    return ControlVector.of(theta_d, theta_e, *[1.0] * 5)

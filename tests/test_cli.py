@@ -11,6 +11,7 @@ from pathgrad.cli import main
 from pathgrad.scene_io import (ScalarImage, parse_scene, read_pfm, write_pfm)
 
 CORNELL_SMALL = ["--cornell", "--width", "8", "--height", "8", "--spp", "2"]
+DUMP_SMALL = ["--cornell", "--width", "16", "--height", "16"]
 
 SCENE_TEXT = """\
 camera eye 0 0 0 look 0 0 1 up 0 1 0 fov 60 res 8 8
@@ -157,6 +158,13 @@ def test_bare_command_shows_help(capsys):
     ["optimize", "--cornell", "--width", "4", "--height", "4", "--spp", "1",
      "--target-theta", "1,.1,.6,.4,20,.1,.7", "--reg", "1e308",
      "--iterations", "0"],                         # was exit 3, with no step taken
+    ["dump-path", *DUMP_SMALL, "--theta", "1,.1,.6,.4,20,.1,inf",
+     "--pixel", "0,0"],                            # was radiance nan and exit 0
+    ["dump-path", *DUMP_SMALL, "--theta", "1,.1,.6,.4,-1,.1,.7",
+     "--pixel", "0,0"],                            # no specular bounce on this path
+    ["dump-path", *DUMP_SMALL, "--theta", "1,.1,.6,.4,nan,.1,.7", "--pixel", "0,0"],
+    ["dump-path", *DUMP_SMALL, "--theta", "1e308,.1,.6,.4,20,.1,.7",
+     "--pixel", "9,2", "--sample", "0"],           # was radiance inf and exit 0
     ["render", "--cornell", "--width", "2049", "--height", "2048"],  # over the pixel cap
     ["gradients", "--cornell", "--width", "100000", "--height", "100000",
      "--target-theta", "1,1,1,1,1,1,1"],           # was allocated until memory ran out

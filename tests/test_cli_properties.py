@@ -1,11 +1,13 @@
 """Property test of the command line: any argv drawn from the option grammar,
 at up to 8x8 pixels and 2 samples, with controls up to 1e308, ends in a known
 exit code, with neither a traceback nor a warning, and a successful run writes
-only finite images."""
+only finite images and, from dump-path, prints only finite numbers."""
 
 import contextlib
 import io
+import math
 import pathlib
+import re
 import tempfile
 import warnings
 
@@ -99,6 +101,17 @@ def argvs(draw, command):
     return argv, target
 
 
+def _numbers(text):
+    """Every token of ``text`` that parses as a float, nan and inf included."""
+    numbers = []
+    for token in re.split(r"[\s(),:\[\]]+", text):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return numbers
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @PROPERTY
 @given(data=st.data())
@@ -123,3 +136,5 @@ def test_any_argv_exits_known_code_without_traceback_or_warning(command, data):
         if code == 0:
             for pfm in d.glob("out*.pfm"):
                 assert np.all(np.isfinite(read_pfm(pfm.read_bytes()).data)), (argv, pfm.name)
+            if command == "dump-path":
+                assert all(math.isfinite(x) for x in _numbers(out.getvalue())), argv

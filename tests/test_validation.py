@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pathgrad._wavefront import record_of_paths
 from pathgrad.materials import GradientVector
 from pathgrad.path_engine import (TerminalKind, backward_pass,
                                   cost_and_adjoint, forward_pass,
                                   trace_pixel_sample)
 from pathgrad.scene_io import build_cornell_box, parse_scene
 from pathgrad.validation import (ABS_FLOOR, EPS_LADDER, REL_TOL, FdReport,
-                                 FdRow, FrozenEnsemble, _record_of, analytic_geometric,
+                                 FdRow, FrozenEnsemble, analytic_geometric,
                                  build_chain_path, build_lattice_ensemble,
                                  chain_theta,
                                  compare_gradients, ensemble_cost,
@@ -119,7 +120,7 @@ def test_lattice_record_matches_the_scalar_freeze(make_scene, grid, seed, max_de
     lattice = [int((j + 0.5) * cam.height / grid) * cam.width + int((i + 0.5) * cam.width / grid)
                for j in range(grid) for i in range(grid)]
     paths = [trace_pixel_sample(scene, theta, p, 0, seed, max_depth) for p in lattice]
-    want_materials, want = _record_of(paths)
+    want_materials, want = record_of_paths(paths)
     ensemble = build_lattice_ensemble(scene, theta, seed=seed, grid=grid, max_depth=max_depth)
     got = ensemble.record
 

@@ -113,12 +113,12 @@ def frozen_records(draw):
     vertices = [[(*draw(st.sampled_from([(1, LobeTag.SPECULAR), (1, LobeTag.DIFFUSE),
                                          (2, LobeTag.LAMBERT_ONLY)])),
                   draw(st.floats(0.01, 0.95))) for _ in range(n)] for n in n_cont]
-    ids = _wavefront.id_dtype(len(materials))
+    ids = _wavefront._id_dtype(len(materials))
     rows = []
     for d in range(max(n_cont)):
         lanes = np.array([lane for lane, n in enumerate(n_cont) if n > d])
         mat, tag, u1 = (np.array(c) for c in zip(*(vertices[lane][d] for lane in lanes)))
-        rows.append(_wavefront.lobe_groups(lanes, mat.astype(ids), tag, u1))
+        rows.append(_wavefront._lobe_groups(lanes, mat.astype(ids), tag, u1))
     emitters = np.flatnonzero([draw(st.sampled_from([0, -1])) == 0 for _ in n_cont])
     record = _wavefront.PathRecord(len(n_cont), rows, emitters,
                                    np.zeros(emitters.size, dtype=ids))
